@@ -32,7 +32,6 @@ from .errors import (
 from .linalg import (
     cholesky_factor,
     frobenius_norm,
-    matrix_exp_truncated,
     spd_inverse,
     spd_solve,
     symmetrize,
@@ -77,6 +76,7 @@ from .filters import (
     filter_step,
     iekf_update,
     kf_step,
+    kf_update,
     mm_predict,
     plf_update,
     ukf_update,

@@ -5,8 +5,8 @@ trajectory, because the trajectory is derived only from the scenario config
 and the trial index (seed = config seed + trial index, a fresh PCG64 stream).
 A trial counts as diverged when the filter raises an estimation error, a
 natural-gradient update reports a positive-definiteness failure, or any mean
-component exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged trials are
-excluded from RMSE aggregates and counted separately.
+component is NaN or exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged
+trials are excluded from RMSE aggregates and counted separately.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def run_filter(
         means[t - 1] = belief.mean
         covs[t - 1] = belief.cov
         steps = t
-        if np.any(np.abs(belief.mean) > DIVERGENCE_LIMIT):
+        if not np.all(np.abs(belief.mean) <= DIVERGENCE_LIMIT):  # also catches NaN
             diverged = True
             break
 

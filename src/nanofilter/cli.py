@@ -61,8 +61,6 @@ _KEY_TYPES = {
     "nano.hessian": str,
     "nano.cov_update": str,
     "nano.epsilon": float,
-    "nano.exponent_mode": str,
-    "nano.step_size": float,
 }
 
 

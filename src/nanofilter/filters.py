@@ -1,16 +1,16 @@
 """Classical Gaussian filters behind one predict/update contract.
 
-All filters share :class:`GaussianBelief` and are driven through
-:func:`filter_step`, which runs one predict + one measurement update and
-reports per-update diagnostics (iteration count, covariance delta, wall-clock
-time).  The natural-gradient family lives in :mod:`nanofilter.nano`; this
-module hosts the baselines and the dispatch table.
+All filters share :class:`GaussianBelief`, and every measurement update
+returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
+predict + one measurement update and stamps the update's wall-clock time onto
+its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
+this module hosts the baselines and the dispatcher.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,12 +44,26 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class UpdateDiagnostics:
-    """Per-update bookkeeping emitted by :func:`filter_step`."""
+    """Per-update bookkeeping returned by every measurement update.
+
+    ``iterations`` counts the passes the update made (1 for the single-pass
+    updates).  ``final_delta`` is the change made by the last pass: the norm
+    of the mean step for :func:`iekf_update` and :func:`plf_update`, the
+    Frobenius norm of the covariance change for the natural-gradient update,
+    and 0.0 for the single-pass updates.  ``update_ms`` is filled in by
+    :func:`filter_step`; the updates themselves report 0.0.
+    """
 
     iterations: int
     final_delta: float
     pd_failure: bool
     update_ms: float
+
+
+# Diagnostics of every single-pass update (kf, ekf, ukf).
+SINGLE_PASS = UpdateDiagnostics(1, 0.0, False, 0.0)
+# Diagnostics of a natural-gradient update that lost positive definiteness.
+PD_FAILED = UpdateDiagnostics(0, float("nan"), True, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +91,15 @@ def _linear_update(prior: GaussianBelief, y, H: np.ndarray, R: np.ndarray,
     return GaussianBelief(mean, cov)
 
 
+def kf_update(
+    prior: GaussianBelief, y, model: StateSpaceModel
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
+    """Exact linear measurement update (Joseph form)."""
+    H = model.linear.H
+    post = _linear_update(prior, y, H, model.R, np.asarray(y, float) - H @ prior.mean)
+    return post, SINGLE_PASS
+
+
 def kf_step(belief: GaussianBelief, u, y, model: StateSpaceModel) -> GaussianBelief:
     """Exact linear-Gaussian step.  ``y=None`` performs prediction only."""
     if model.linear is None:
@@ -84,8 +107,7 @@ def kf_step(belief: GaussianBelief, u, y, model: StateSpaceModel) -> GaussianBel
     pred = _kf_predict(belief, u, model)
     if y is None:
         return pred
-    H = model.linear.H
-    return _linear_update(pred, y, H, model.R, np.asarray(y, float) - H @ pred.mean)
+    return kf_update(pred, y, model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +122,13 @@ def ekf_predict(belief: GaussianBelief, u, model: StateSpaceModel, t: int = 0) -
     return GaussianBelief(mean, cov)
 
 
-def ekf_update(prior: GaussianBelief, y, model: StateSpaceModel) -> GaussianBelief:
+def ekf_update(
+    prior: GaussianBelief, y, model: StateSpaceModel
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Measurement update linearized at the prior mean (Joseph form)."""
     G = model.jac_g(prior.mean)
     innovation = np.asarray(y, float) - model.g(prior.mean)
-    return _linear_update(prior, y, G, model.R, innovation)
+    return _linear_update(prior, y, G, model.R, innovation), SINGLE_PASS
 
 
 def iekf_update(
@@ -113,16 +137,19 @@ def iekf_update(
     model: StateSpaceModel,
     gamma: float = ITER_GAMMA,
     max_iters: int = ITER_MAX,
-) -> GaussianBelief:
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Iterated EKF update: Gauss-Newton relinearization of the MAP problem.
 
-    With ``max_iters=1`` this is exactly :func:`ekf_update`.
+    Stops once the mean step is shorter than ``gamma`` or after
+    ``max_iters`` passes.  With ``max_iters=1`` this is exactly
+    :func:`ekf_update`.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
     x0, P = prior.mean, prior.cov
     xi = x0
-    G = gain = None
-    for _ in range(max_iters):
+    for iterations in range(1, max_iters + 1):
         G = model.jac_g(xi)
         S = symmetrize(G @ P @ G.T + model.R)
         gain = spd_solve(S, G @ P).T
@@ -133,7 +160,7 @@ def iekf_update(
             break
     closure = np.eye(P.shape[0]) - gain @ G
     cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
-    return GaussianBelief(xi, cov)
+    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +183,7 @@ def mm_predict(
 
 def ukf_update(
     prior: GaussianBelief, y, model: StateSpaceModel, rule: SigmaPointRule
-) -> GaussianBelief:
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Sigma-point measurement update (statistical linearization at the prior)."""
     y = np.asarray(y, dtype=float)
     cset = generate_points(rule, prior.mean, prior.cov)
@@ -165,7 +192,7 @@ def ukf_update(
     gain = spd_solve(S, cross.T).T
     mean = prior.mean + gain @ (y - ybar)
     cov = symmetrize(prior.cov - gain @ S @ gain.T)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(mean, cov), SINGLE_PASS
 
 
 def plf_update(
@@ -175,19 +202,22 @@ def plf_update(
     rule: SigmaPointRule,
     gamma: float = ITER_GAMMA,
     max_iters: int = ITER_MAX,
-) -> GaussianBelief:
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Iterated posterior-linearization update.
 
     Each pass statistically linearizes g over the current posterior iterate
     (affine fit A x + b with residual covariance Omega) and redoes the linear
     update of the original prior with measurement noise R + Omega.  The first
     pass linearizes over the prior itself and therefore reproduces
-    :func:`ukf_update` exactly.
+    :func:`ukf_update` exactly.  Stops once the mean step is shorter than
+    ``gamma`` or after ``max_iters`` passes.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
     x0, P0 = prior.mean, prior.cov
     xi, Pi = x0, P0
-    for _ in range(max_iters):
+    for iterations in range(1, max_iters + 1):
         cset = generate_points(rule, xi, Pi)
         ybar, spread, cross = propagate_with_cross(cset, model.g)
         A = spd_solve(Pi, cross).T                  # cross^T Pi^{-1}
@@ -201,7 +231,7 @@ def plf_update(
         xi, Pi = x_next, P_next
         if delta < gamma:
             break
-    return GaussianBelief(xi, Pi)
+    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,65 +250,49 @@ def filter_step(
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """One predict + update step of the named filter.
 
-    Returns the posterior belief and diagnostics.  ``update_ms`` times the
-    measurement update only (prediction excluded).  A positive-definiteness
-    failure inside a natural-gradient update is reported via
-    ``diagnostics.pd_failure`` with the prior belief returned unchanged.
+    Returns the posterior belief and the update's diagnostics.  ``update_ms``
+    times the measurement update only (prediction excluded).  A
+    positive-definiteness failure inside a natural-gradient update is reported
+    via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
     """
-    from . import nano  # deferred: nano imports this module's baselines
-
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}")
     rule = rule or SigmaPointRule("cubature")
 
     if filter_id == "kf":
         prior = kf_step(belief, u, None, model)
-        H = model.linear.H
-        start = time.perf_counter()
-        post = _linear_update(prior, y, H, model.R, np.asarray(y, float) - H @ prior.mean)
-        elapsed = time.perf_counter() - start
-        return post, _diag(1, elapsed)
-
-    if filter_id == "ekf":
+    elif filter_id in ("ekf", "iekf"):
         prior = ekf_predict(belief, u, model, t)
-        start = time.perf_counter()
-        post = ekf_update(prior, y, model)
-        elapsed = time.perf_counter() - start
-        return post, _diag(1, elapsed)
-
-    if filter_id == "iekf":
-        prior = ekf_predict(belief, u, model, t)
-        start = time.perf_counter()
-        post = iekf_update(prior, y, model)
-        elapsed = time.perf_counter() - start
-        return post, _diag(ITER_MAX, elapsed)
-
-    if filter_id == "ukf":
+    else:
         prior = mm_predict(belief, u, model, rule, t)
-        start = time.perf_counter()
-        post = ukf_update(prior, y, model, rule)
-        elapsed = time.perf_counter() - start
-        return post, _diag(1, elapsed)
 
-    if filter_id == "plf":
-        prior = mm_predict(belief, u, model, rule, t)
-        start = time.perf_counter()
-        post = plf_update(prior, y, model, rule)
-        elapsed = time.perf_counter() - start
-        return post, _diag(ITER_MAX, elapsed)
-
-    # natural-gradient family
-    cfg = nano_cfg if nano_cfg is not None else nano.NANO_PRESETS[filter_id]
-    prior = mm_predict(belief, u, model, rule, t)
     start = time.perf_counter()
     try:
-        post, diag = nano.nano_update(prior, y, model, rule, cfg)
+        post, diag = _update(filter_id, prior, y, model, rule, nano_cfg)
     except PDFailure:
-        elapsed = time.perf_counter() - start
-        return prior, UpdateDiagnostics(0, float("nan"), True, elapsed * 1e3)
+        post, diag = prior, PD_FAILED
     elapsed = time.perf_counter() - start
-    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, False, elapsed * 1e3)
+    return post, replace(diag, update_ms=elapsed * 1e3)
 
 
-def _diag(iterations: int, elapsed: float) -> UpdateDiagnostics:
-    return UpdateDiagnostics(iterations, 0.0, False, elapsed * 1e3)
+def _update(filter_id: str, prior: GaussianBelief, y, model: StateSpaceModel,
+            rule: SigmaPointRule, nano_cfg) -> tuple[GaussianBelief, UpdateDiagnostics]:
+    """The named filter's measurement update.
+
+    Each update is looked up by name at call time, so a rebinding of this
+    module's (or :mod:`nanofilter.nano`'s) attribute reaches every step.
+    """
+    from . import nano  # deferred: nano imports this module's baselines
+
+    if filter_id == "kf":
+        return kf_update(prior, y, model)
+    if filter_id == "ekf":
+        return ekf_update(prior, y, model)
+    if filter_id == "iekf":
+        return iekf_update(prior, y, model)
+    if filter_id == "ukf":
+        return ukf_update(prior, y, model, rule)
+    if filter_id == "plf":
+        return plf_update(prior, y, model, rule)
+    cfg = nano_cfg if nano_cfg is not None else nano.NANO_PRESETS[filter_id]
+    return nano.nano_update(prior, y, model, rule, cfg)

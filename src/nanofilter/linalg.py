@@ -83,20 +83,3 @@ def spd_inverse(a: np.ndarray, pivot_rtol: float = 0.0) -> np.ndarray:
     factor = cholesky_factor(a, pivot_rtol)
     return symmetrize(cho_solve((factor, True), np.eye(a.shape[0]), check_finite=False))
 
-
-def matrix_exp_truncated(a: np.ndarray, order: int) -> np.ndarray:
-    """Truncated power series of the matrix exponential.
-
-    Returns ``sum_{j=0..order} A^j / j!``.  ``order=1`` is the linearization
-    ``I + A`` used by the factored covariance update; higher orders are only
-    there for experiments.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    a = np.asarray(a, dtype=float)
-    out = np.eye(a.shape[0]) + a
-    term = a
-    for j in range(2, order + 1):
-        term = term @ a / j
-        out = out + term
-    return out

@@ -6,7 +6,7 @@ iteration averages likelihood derivatives over sigma points of the current
 iterate N(x, P) and applies a natural-gradient step in the Gaussian family:
 
     P_inv'  = prior_inv + E[hess]                 (information/covariance step)
-    x'      = x - step * P' @ (E[grad] + prior_inv @ (x - prior_mean))
+    x'      = x - P' @ (E[grad] + prior_inv @ (x - prior_mean))
 
 Two curvature choices are offered -- the exact likelihood Hessian (which can
 be indefinite and then kills the covariance step) and its Gauss-Newton part
@@ -28,7 +28,6 @@ from .filters import GaussianBelief, UpdateDiagnostics, ekf_update
 from .linalg import (
     cholesky_factor,
     frobenius_norm,
-    matrix_exp_truncated,
     spd_inverse,
     symmetrize,
 )
@@ -37,7 +36,6 @@ from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
 HESSIAN_MODES = ("gauss-newton", "exact")
 COV_UPDATES = ("direct", "cholesky-factor")
-EXPONENT_MODES = ("residual", "plain")
 INIT_MODES = ("prior", "ekf")
 
 # Factor diagonal below this is treated as numerically singular.
@@ -48,11 +46,9 @@ FACTOR_DIAG_TOL = 1e-14
 class NanoConfig:
     """Tuning knobs for :func:`nano_update`.
 
-    ``exponent_mode`` only matters for ``cov_update="cholesky-factor"``:
-    ``"residual"`` builds the factor exponent from the gap between the
-    curvature target and the current factor Gram (fixed point = the direct
-    recursion's target); ``"plain"`` exponentiates the raw curvature sum,
-    which keeps growing the factor and is retained for comparison only.
+    ``gamma`` and ``max_iters`` bound the iteration; ``epsilon`` is the floor
+    ``epsilon I`` added to the reconstructed inverse covariance of the
+    ``"cholesky-factor"`` update.
     """
 
     gamma: float = 1e-6
@@ -60,26 +56,17 @@ class NanoConfig:
     hessian: str = "gauss-newton"
     cov_update: str = "direct"
     epsilon: float = 1e-9
-    exponent_mode: str = "residual"
-    exp_order: int = 1
     init: str = "prior"
-    step_size: float = 1.0
 
     def __post_init__(self):
         if self.hessian not in HESSIAN_MODES:
             raise ValueError(f"hessian must be one of {HESSIAN_MODES}, got {self.hessian!r}")
         if self.cov_update not in COV_UPDATES:
             raise ValueError(f"cov_update must be one of {COV_UPDATES}, got {self.cov_update!r}")
-        if self.exponent_mode not in EXPONENT_MODES:
-            raise ValueError(
-                f"exponent_mode must be one of {EXPONENT_MODES}, got {self.exponent_mode!r}"
-            )
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.gamma <= 0 or self.max_iters < 1 or self.epsilon < 0 or self.exp_order < 1:
-            raise ValueError("gamma > 0, max_iters >= 1, epsilon >= 0, exp_order >= 1 required")
-        if not 0.0 < self.step_size <= 1.0:
-            raise ValueError(f"step_size must be in (0, 1], got {self.step_size}")
+        if self.gamma <= 0 or self.max_iters < 1 or self.epsilon < 0:
+            raise ValueError("gamma > 0, max_iters >= 1, epsilon >= 0 required")
 
 
 # Filter-id presets; the four published variants of the update.
@@ -93,7 +80,7 @@ NANO_PRESETS = {
 # Config-file-tunable fields.  Tuning fields apply to every preset; fields that
 # *define* a preset's identity are honored only for the base "nano" id, so
 # e.g. "nano-chol" cannot be silently turned back into the direct update.
-TUNING_FIELDS = ("gamma", "max_iters", "epsilon", "exponent_mode", "exp_order", "step_size")
+TUNING_FIELDS = ("gamma", "max_iters", "epsilon")
 IDENTITY_FIELDS = ("hessian", "cov_update", "init")
 
 
@@ -188,12 +175,15 @@ def chol_cov_step(
 ) -> NanoIterState:
     """Multiplicative factor update of the inverse covariance.
 
-    The factor moves by a (truncated) matrix exponential,
-    ``factor' = factor @ expm(M)``; the reconstructed inverse covariance
-    ``factor' factor'^T + epsilon I`` is positive definite no matter what the
-    curvature looked like.  The re-triangularized factor is obtained from a QR
-    factorization of ``[moved^T; sqrt(epsilon) I]``, which equals the Cholesky
-    factor of the reconstruction but never forms the Gram product -- so its
+    The factor moves by the first-order matrix exponential,
+    ``factor' = factor @ (I + M)``.  The exponent ``M`` is built from the gap
+    between the curvature target ``v_xx + prior_inv`` and the current factor
+    Gram, so the fixed point is the direct recursion's target.  The
+    reconstructed inverse covariance ``factor' factor'^T + epsilon I`` is
+    positive definite no matter what the curvature looked like.  The
+    re-triangularized factor is obtained from a QR factorization of
+    ``[moved^T; sqrt(epsilon) I]``, which equals the Cholesky factor of the
+    reconstruction but never forms the Gram product -- so its
     smallest pivot stays >= sqrt(epsilon) even when the iterate is so
     ill-conditioned that the explicit product would round to indefinite.
     """
@@ -203,12 +193,10 @@ def chol_cov_step(
     if float(np.min(np.diag(factor))) < FACTOR_DIAG_TOL:
         raise SingularFactor("factor diagonal fell below tolerance")
     n = factor.shape[0]
-    target = symmetrize(v_xx + prior_inv)
-    if cfg.exponent_mode == "residual":
-        target = target - factor @ factor.T
+    target = symmetrize(v_xx + prior_inv) - factor @ factor.T
     inner = solve_triangular(factor, target, lower=True, check_finite=False)
     exponent = 0.5 * solve_triangular(factor, inner.T, lower=True, check_finite=False).T
-    moved = factor @ matrix_exp_truncated(exponent, cfg.exp_order)
+    moved = factor @ (np.eye(n) + exponent)
     stacked = np.vstack([moved.T, np.sqrt(cfg.epsilon) * np.eye(n)])
     upper = np.linalg.qr(stacked, mode="r")
     signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
@@ -276,7 +264,7 @@ def nano_update(
 
     n = prior.mean.shape[0]
     prior_inv = spd_inverse(prior.cov)
-    start = ekf_update(prior, y, model) if cfg.init == "ekf" else prior
+    start = ekf_update(prior, y, model)[0] if cfg.init == "ekf" else prior
     state = NanoIterState(
         index=0,
         mean=start.mean,
@@ -306,9 +294,7 @@ def nano_update(
                 cov_next = symmetrize(cho_solve((inv_factor, True), np.eye(n), check_finite=False))
                 factor_next = None
 
-            mean_next = state.mean - cfg.step_size * (
-                cov_next @ (v_x + prior_inv @ (state.mean - prior.mean))
-            )
+            mean_next = state.mean - cov_next @ (v_x + prior_inv @ (state.mean - prior.mean))
             if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
                 raise NonFiniteIterate("optimizer iterate left finite floats")
 

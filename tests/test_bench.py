@@ -116,6 +116,32 @@ def test_trial_times_failed_attempt():
     assert res.update_ms is not None and res.update_ms > 0.0  # attempt still timed
 
 
+def test_nan_measurement_diverges_the_trial(monkeypatch):
+    # one NaN measurement leaves the posterior mean NaN; the trial must count
+    # as diverged rather than carry a NaN RMSE into the aggregates
+    from nanofilter import bench
+
+    monkeypatch.setenv("NANO_BENCH_THREADS", "1")
+    simulate = bench.make_trajectory
+
+    def with_nan(cfg, trial, setup=None):
+        traj = simulate(cfg, trial, setup)
+        if trial == 0:
+            traj.measurements[5] = np.nan
+        return traj
+
+    monkeypatch.setattr(bench, "make_trajectory", with_nan)
+    cfg = ScenarioConfig(model="duffing", trials=3, horizon=20, seed=0)
+    rep = run_monte_carlo(cfg, ("ekf", "iekf"))
+    for fid in ("ekf", "iekf"):
+        first = rep.results[fid][0]
+        assert first.diverged and first.rmse is None, fid
+        assert first.steps <= 6, fid
+        st = rep.stats(fid)
+        assert st.divergences == 1, fid
+        assert np.isfinite(st.mean_rmse), fid
+
+
 # ---------------------------------------------------------------------------
 # aggregates
 

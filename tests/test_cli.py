@@ -140,11 +140,19 @@ def test_parse_config_file(tmp_path):
     }
 
 
-def test_parse_config_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("text", [
+    pytest.param("modle = duffing\n", id="misspelt-key"),
+    pytest.param("[nano]\nstep_size = 0.5\n", id="nano-step_size"),
+    pytest.param("[nano]\nexponent_mode = plain\n", id="nano-exponent_mode"),
+])
+def test_parse_config_rejects_unknown_key(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
-    path.write_text("modle = duffing\n")
+    path.write_text(text)
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config_file(path)
+    assert main(["run", "--model", "duffing", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_parse_config_rejects_bad_value(tmp_path):

@@ -3,6 +3,9 @@ import pytest
 
 from nanofilter.errors import ModelNotLinear
 from nanofilter.filters import (
+    FILTER_IDS,
+    ITER_GAMMA,
+    ITER_MAX,
     GaussianBelief,
     ekf_predict,
     ekf_update,
@@ -79,7 +82,7 @@ def test_ekf_equals_kf_on_linear_models():
         model, belief, u, y = random_linear(10 + seed, with_b=True)
         ref = kf_step(belief, u, y, model)
         pred = ekf_predict(belief, u, model)
-        post = ekf_update(pred, y, model)
+        post, _ = ekf_update(pred, y, model)
         np.testing.assert_allclose(post.mean, ref.mean, atol=1e-10)
         np.testing.assert_allclose(post.cov, ref.cov, atol=1e-10)
 
@@ -88,8 +91,8 @@ def test_iekf_single_iteration_is_ekf():
     model = duffing_model()
     prior = GaussianBelief(np.array([0.7, -0.1]), 0.05 * np.eye(2))
     y = np.array([0.5])
-    a = ekf_update(prior, y, model)
-    b = iekf_update(prior, y, model, max_iters=1)
+    a, _ = ekf_update(prior, y, model)
+    b, _ = iekf_update(prior, y, model, max_iters=1)
     np.testing.assert_allclose(a.mean, b.mean, atol=1e-14)
     np.testing.assert_allclose(a.cov, b.cov, atol=1e-14)
 
@@ -98,7 +101,7 @@ def test_iekf_converges_immediately_on_linear_models():
     model, belief, u, y = random_linear(3, with_b=True)
     pred = kf_step(belief, u, None, model)
     ref = kf_step(belief, u, y, model)
-    post = iekf_update(pred, y, model)
+    post, _ = iekf_update(pred, y, model)
     np.testing.assert_allclose(post.mean, ref.mean, atol=1e-9)
     np.testing.assert_allclose(post.cov, ref.cov, atol=1e-9)
 
@@ -109,8 +112,8 @@ def test_iekf_moves_toward_map_on_nonlinear_models():
     model = duffing_model()
     prior = GaussianBelief(np.array([0.9, 0.0]), np.diag([0.3, 0.01]))
     y = np.array([0.2])
-    ekf = ekf_update(prior, y, model)
-    iekf = iekf_update(prior, y, model)
+    ekf, _ = ekf_update(prior, y, model)
+    iekf, _ = iekf_update(prior, y, model)
     assert abs(model.g(iekf.mean)[0] - 0.2) < abs(model.g(ekf.mean)[0] - 0.2)
 
 
@@ -128,7 +131,7 @@ def test_ukf_equals_kf_on_linear_models():
         model, belief, u, y = random_linear(20 + seed, with_b=True)
         ref = kf_step(belief, u, y, model)
         pred = mm_predict(belief, u, model, RULE)
-        post = ukf_update(pred, y, model, RULE)
+        post, _ = ukf_update(pred, y, model, RULE)
         np.testing.assert_allclose(post.mean, ref.mean, atol=1e-8)
         np.testing.assert_allclose(post.cov, ref.cov, atol=1e-8)
 
@@ -137,8 +140,8 @@ def test_plf_first_iteration_is_ukf():
     model = duffing_model()
     prior = GaussianBelief(np.array([0.4, 0.2]), 0.1 * np.eye(2))
     y = np.array([0.3])
-    a = ukf_update(prior, y, model, RULE)
-    b = plf_update(prior, y, model, RULE, max_iters=1)
+    a, _ = ukf_update(prior, y, model, RULE)
+    b, _ = plf_update(prior, y, model, RULE, max_iters=1)
     np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
     np.testing.assert_allclose(a.cov, b.cov, atol=1e-10)
 
@@ -147,7 +150,7 @@ def test_plf_equals_kf_on_linear_models():
     model, belief, u, y = random_linear(5, with_b=True)
     pred = kf_step(belief, u, None, model)
     ref = kf_step(belief, u, y, model)
-    post = plf_update(pred, y, model, RULE)
+    post, _ = plf_update(pred, y, model, RULE)
     np.testing.assert_allclose(post.mean, ref.mean, atol=1e-8)
     np.testing.assert_allclose(post.cov, ref.cov, atol=1e-8)
 
@@ -167,6 +170,57 @@ def test_filter_step_times_update():
     np.testing.assert_allclose(post.mean, ref.mean)
 
 
+@pytest.mark.parametrize("filter_id", ["iekf", "plf"])
+def test_filter_step_reports_real_iteration_count(filter_id):
+    # on a linear model the second pass repeats the first, so the update stops
+    # well before its cap and says so
+    model, belief, u, y = random_linear(9, with_b=True)
+    _, diag = filter_step(filter_id, belief, u, y, model)
+    assert 1 < diag.iterations < ITER_MAX
+    assert diag.final_delta < ITER_GAMMA
+
+
+def test_iterated_updates_reject_zero_iterations():
+    model, belief, _, y = random_linear(9)
+    with pytest.raises(ValueError):
+        iekf_update(belief, y, model, max_iters=0)
+    with pytest.raises(ValueError):
+        plf_update(belief, y, model, RULE, max_iters=0)
+
+
+def test_filter_step_reaches_rebound_predict_and_update(monkeypatch):
+    # a tracer rebinds module attributes; every step must go through them
+    from nanofilter import filters, nano
+
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("ekf_predict", "mm_predict", "kf_update", "ekf_update", "iekf_update",
+                 "ukf_update", "plf_update"):
+        count(filters, name)
+    count(nano, "nano_update")
+    expected = {
+        "kf": ("kf_update",),
+        "ekf": ("ekf_predict", "ekf_update"),
+        "iekf": ("ekf_predict", "iekf_update"),
+        "ukf": ("mm_predict", "ukf_update"),
+        "plf": ("mm_predict", "plf_update"),
+    }
+    model, belief, u, y = random_linear(8, with_b=True)
+    for fid in FILTER_IDS:
+        calls.clear()
+        filter_step(fid, belief, u, y, model)
+        assert calls == dict.fromkeys(expected.get(fid, ("mm_predict", "nano_update")), 1), fid
+
+
 def test_filter_step_pd_failure_returns_prior():
     # indefinite exact curvature: large positive residual at the cubic sensor
     model = duffing_model()
@@ -180,8 +234,6 @@ def test_filter_step_pd_failure_returns_prior():
 
 
 def test_filter_step_all_ids_run_on_linear_model():
-    from nanofilter.filters import FILTER_IDS
-
     model, belief, u, y = random_linear(8, with_b=True)
     ref = kf_step(belief, u, y, model)
     for fid in FILTER_IDS:

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from nanofilter.errors import NotPositiveDefinite
 from nanofilter.linalg import (
     PIVOT_RTOL,
     cholesky_factor,
     frobenius_norm,
-    matrix_exp_truncated,
     spd_inverse,
     spd_solve,
     symmetrize,
@@ -79,23 +77,3 @@ def test_symmetrize():
 def test_frobenius_norm():
     assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
 
-
-def test_matrix_exp_truncated_first_order():
-    m = np.array([[0.1, 0.02], [0.02, -0.05]])
-    np.testing.assert_allclose(matrix_exp_truncated(m, 1), np.eye(2) + m)
-
-
-def test_matrix_exp_truncated_converges_to_expm():
-    rng = np.random.default_rng(5)
-    m = 0.3 * rng.standard_normal((3, 3))
-    exact = scipy.linalg.expm(m)
-    np.testing.assert_allclose(matrix_exp_truncated(m, 8), exact, atol=1e-4)
-    # higher order only gets closer
-    err8 = np.abs(matrix_exp_truncated(m, 8) - exact).max()
-    err12 = np.abs(matrix_exp_truncated(m, 12) - exact).max()
-    assert err12 <= err8
-
-
-def test_matrix_exp_truncated_rejects_bad_order():
-    with pytest.raises(ValueError):
-        matrix_exp_truncated(np.eye(2), 0)

@@ -116,17 +116,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NanoConfig(cov_update="sqrt")
     with pytest.raises(ValueError):
-        NanoConfig(exponent_mode="pade")
-    with pytest.raises(ValueError):
         NanoConfig(init="zero")
     with pytest.raises(ValueError):
         NanoConfig(gamma=0.0)
     with pytest.raises(ValueError):
         NanoConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        NanoConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        NanoConfig(step_size=1.5)
 
 
 def test_presets():
@@ -135,7 +129,6 @@ def test_presets():
     assert NANO_PRESETS["nano-nopd"].hessian == "exact"
     assert NANO_PRESETS["nano-ekf"].init == "ekf"
     assert NANO_PRESETS["nano-chol"].cov_update == "cholesky-factor"
-    assert NANO_PRESETS["nano-chol"].exponent_mode == "residual"
 
 
 def test_preset_overrides_scope():
@@ -292,27 +285,6 @@ def test_nano_determinism():
     b, _ = nano_update(prior, y, model, RULE)
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.cov, b.cov)
-
-
-def test_step_size_damps_the_mean_update():
-    model = cubic_model()
-    prior = GaussianBelief(np.array([0.5]), np.array([[0.2]]))
-    y = np.array([0.4])
-    full, _ = nano_update(prior, y, model, RULE, NanoConfig(max_iters=1))
-    half, _ = nano_update(prior, y, model, RULE, NanoConfig(max_iters=1, step_size=0.5))
-    moved_full = full.mean[0] - prior.mean[0]
-    moved_half = half.mean[0] - prior.mean[0]
-    assert moved_half == pytest.approx(0.5 * moved_full, rel=1e-9)
-
-
-def test_plain_exponent_mode_differs_from_residual():
-    model, belief, y = random_linear(90)
-    prior = kf_step(belief, None, None, model)
-    res, _ = nano_update(prior, y, model, RULE, NanoConfig(cov_update="cholesky-factor"))
-    pla, _ = nano_update(
-        prior, y, model, RULE, NanoConfig(cov_update="cholesky-factor", exponent_mode="plain")
-    )
-    assert np.abs(res.cov - pla.cov).max() > 1e-8
 
 
 # ---------------------------------------------------------------------------
