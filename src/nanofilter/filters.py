@@ -2,8 +2,8 @@
 
 All filters share :class:`GaussianBelief`, and every measurement update
 returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
-predict + one measurement update and stamps the update's CPU time onto its
-diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
+predict + one measurement update and stamps the update's wall-clock time onto
+its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
 this module hosts the baselines and the dispatcher.
 """
 
@@ -51,8 +51,7 @@ class UpdateDiagnostics:
     of the mean step for :func:`iekf_update` and :func:`plf_update`, the
     Frobenius norm of the covariance change for the natural-gradient update,
     and 0.0 for the single-pass updates.  ``update_ms`` is filled in by
-    :func:`filter_step` with the CPU time the calling thread spent in the
-    update; the updates themselves report 0.0.
+    :func:`filter_step`; the updates themselves report 0.0.
     """
 
     iterations: int
@@ -252,9 +251,7 @@ def filter_step(
     """One predict + update step of the named filter.
 
     Returns the posterior belief and the update's diagnostics.  ``update_ms``
-    times the measurement update only (prediction excluded), on the calling
-    thread's CPU clock: time spent waiting for the GIL behind other worker
-    threads, or descheduled by other load on the machine, is not counted.  A
+    times the measurement update only (prediction excluded).  A
     positive-definiteness failure inside a natural-gradient update is reported
     via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
     """
@@ -269,12 +266,12 @@ def filter_step(
     else:
         prior = mm_predict(belief, u, model, rule, t)
 
-    start = time.thread_time()
+    start = time.perf_counter()
     try:
         post, diag = _update(filter_id, prior, y, model, rule, nano_cfg)
     except PDFailure:
         post, diag = prior, PD_FAILED
-    elapsed = time.thread_time() - start
+    elapsed = time.perf_counter() - start
     return post, replace(diag, update_ms=elapsed * 1e3)
 
 
