@@ -228,10 +228,10 @@ def run_monte_carlo(
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
-                pool.map(lambda job: run_trial(cfg, job[0], job[1], nano_overrides), jobs)
+                pool.map(lambda job: run_trial(cfg, job[0], job[1], nano_overrides, setup), jobs)
             )
     else:
-        outcomes = [run_trial(cfg, fid, trial, nano_overrides) for fid, trial in jobs]
+        outcomes = [run_trial(cfg, fid, trial, nano_overrides, setup) for fid, trial in jobs]
 
     results: dict[str, list[TrialResult]] = {fid: [] for fid in filter_ids}
     for (fid, _), res in zip(jobs, outcomes):
@@ -420,14 +420,12 @@ def emit_ablation(table: AblationTable, out_dir) -> list[Path]:
     csv_path = out / "ablation.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "filter", "trials", "divergences", "label", "mean_rmse", "mean_update_ms"]
-        )
+        writer.writerow(["model", "filter", "trials", "divergences", "label", "mean_rmse"])
         for model in table.models:
             for st in table.reports[model].summary():
                 writer.writerow(
                     [model, st.filter_id, st.trials, st.divergences, st.label,
-                     f"{st.mean_rmse:.6g}", f"{st.mean_update_ms:.6g}"]
+                     f"{st.mean_rmse:.6g}"]
                 )
 
     width = max(len(v) for v in table.variants) + 2
@@ -439,15 +437,6 @@ def emit_ablation(table: AblationTable, out_dir) -> list[Path]:
         lines.append(
             model.ljust(10)
             + "".join(stats[v].label.rjust(width) for v in table.variants)
-        )
-    lines.append("")
-    lines.append("mean update time per step [ms]")
-    lines.append(header)
-    for model in table.models:
-        stats = {st.filter_id: st for st in table.reports[model].summary()}
-        lines.append(
-            model.ljust(10)
-            + "".join(f"{stats[v].mean_update_ms:.3f}".rjust(width) for v in table.variants)
         )
     txt_path = out / "ablation.txt"
     txt_path.write_text("\n".join(lines) + "\n")

@@ -79,7 +79,7 @@ def _kf_predict(belief: GaussianBelief, u, model: StateSpaceModel) -> GaussianBe
     return GaussianBelief(x, cov)
 
 
-def _linear_update(prior: GaussianBelief, y, H: np.ndarray, R: np.ndarray,
+def _linear_update(prior: GaussianBelief, H: np.ndarray, R: np.ndarray,
                    innovation: np.ndarray) -> GaussianBelief:
     """Shared linear measurement update with Joseph-form covariance."""
     P = prior.cov
@@ -96,7 +96,7 @@ def kf_update(
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Exact linear measurement update (Joseph form)."""
     H = model.linear.H
-    post = _linear_update(prior, y, H, model.R, np.asarray(y, float) - H @ prior.mean)
+    post = _linear_update(prior, H, model.R, np.asarray(y, float) - H @ prior.mean)
     return post, SINGLE_PASS
 
 
@@ -128,7 +128,7 @@ def ekf_update(
     """Measurement update linearized at the prior mean (Joseph form)."""
     G = model.jac_g(prior.mean)
     innovation = np.asarray(y, float) - model.g(prior.mean)
-    return _linear_update(prior, y, G, model.R, innovation), SINGLE_PASS
+    return _linear_update(prior, G, model.R, innovation), SINGLE_PASS
 
 
 def iekf_update(

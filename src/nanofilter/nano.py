@@ -25,12 +25,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
 from .filters import GaussianBelief, UpdateDiagnostics, ekf_update
-from .linalg import (
-    cholesky_factor,
-    frobenius_norm,
-    spd_inverse,
-    symmetrize,
-)
+from .linalg import cholesky_factor, spd_inverse, symmetrize
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
@@ -159,21 +154,10 @@ def _expected_derivatives(
 # Covariance step on a Cholesky factor of the inverse covariance
 
 
-@dataclass(frozen=True)
-class NanoIterState:
-    """One optimizer iterate: mean, covariance, and (factored mode only) a
-    lower-triangular factor of the inverse covariance."""
-
-    index: int
-    mean: np.ndarray
-    cov: np.ndarray
-    factor: np.ndarray | None = None
-
-
 def chol_cov_step(
-    state: NanoIterState, v_xx: np.ndarray, prior_inv: np.ndarray, cfg: NanoConfig
-) -> NanoIterState:
-    """Multiplicative factor update of the inverse covariance.
+    factor: np.ndarray, v_xx: np.ndarray, prior_inv: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Multiplicative update of a lower Cholesky factor of the inverse covariance.
 
     The factor moves by the first-order matrix exponential,
     ``factor' = factor @ (I + M)``.  The exponent ``M`` is built from the gap
@@ -187,9 +171,6 @@ def chol_cov_step(
     smallest pivot stays >= sqrt(epsilon) even when the iterate is so
     ill-conditioned that the explicit product would round to indefinite.
     """
-    factor = state.factor
-    if factor is None:
-        raise ValueError("state carries no factor; initialize with one")
     if float(np.min(np.diag(factor))) < FACTOR_DIAG_TOL:
         raise SingularFactor("factor diagonal fell below tolerance")
     n = factor.shape[0]
@@ -197,17 +178,10 @@ def chol_cov_step(
     inner = solve_triangular(factor, target, lower=True, check_finite=False)
     exponent = 0.5 * solve_triangular(factor, inner.T, lower=True, check_finite=False).T
     moved = factor @ (np.eye(n) + exponent)
-    stacked = np.vstack([moved.T, np.sqrt(cfg.epsilon) * np.eye(n)])
+    stacked = np.vstack([moved.T, np.sqrt(epsilon) * np.eye(n)])
     upper = np.linalg.qr(stacked, mode="r")
     signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
-    factor_next = (signs[:, None] * upper).T
-    cov = symmetrize(cho_solve((factor_next, True), np.eye(n), check_finite=False))
-    return NanoIterState(
-        index=state.index + 1,
-        mean=state.mean,
-        cov=cov,
-        factor=factor_next,
-    )
+    return (signs[:, None] * upper).T
 
 
 # ---------------------------------------------------------------------------
@@ -265,47 +239,34 @@ def nano_update(
     n = prior.mean.shape[0]
     prior_inv = spd_inverse(prior.cov)
     start = ekf_update(prior, y, model)[0] if cfg.init == "ekf" else prior
-    state = NanoIterState(
-        index=0,
-        mean=start.mean,
-        cov=start.cov,
-        factor=cholesky_factor(spd_inverse(start.cov)) if factored else None,
-    )
+    mean, cov = start.mean, start.cov
 
     # Lower factor of the iterate's *inverse* covariance; its inverse transpose
     # is a square root of the covariance, usable for sigma points even when the
     # covariance itself is too ill-conditioned to re-factorize.
-    inv_factor = state.factor
-    delta = float("inf")
+    inv_factor = cholesky_factor(spd_inverse(cov)) if factored else None
     try:
-        for _ in range(cfg.max_iters):
-            spread = _sigma_root(state.cov, inv_factor)
-            cset = generate_points(rule, state.mean, state.cov, spread=spread)
+        for iterations in range(1, cfg.max_iters + 1):
+            spread = _sigma_root(cov, inv_factor)
+            cset = generate_points(rule, mean, cov, spread=spread)
             v_x, v_xx = _expected_derivatives(cset, y, model, exact)
 
             if factored:
-                moved = chol_cov_step(state, v_xx, prior_inv, cfg)
-                cov_next = moved.cov
-                factor_next = moved.factor
-                inv_factor = moved.factor
+                inv_factor = chol_cov_step(inv_factor, v_xx, prior_inv, cfg.epsilon)
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
                 inv_factor = cholesky_factor(symmetrize(prior_inv + v_xx))
-                cov_next = symmetrize(cho_solve((inv_factor, True), np.eye(n), check_finite=False))
-                factor_next = None
+            cov_next = symmetrize(cho_solve((inv_factor, True), np.eye(n), check_finite=False))
 
-            mean_next = state.mean - cov_next @ (v_x + prior_inv @ (state.mean - prior.mean))
+            mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior.mean))
             if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
                 raise NonFiniteIterate("optimizer iterate left finite floats")
 
-            delta = frobenius_norm(cov_next - state.cov)
-            state = NanoIterState(state.index + 1, mean_next, cov_next, factor_next)
+            delta = float(np.linalg.norm(cov_next - cov))
+            mean, cov = mean_next, cov_next
             if delta < cfg.gamma:
                 break
     except NotPositiveDefinite as exc:
         raise PDFailure(f"covariance update lost positive definiteness: {exc}") from exc
 
-    return (
-        GaussianBelief(state.mean, state.cov),
-        UpdateDiagnostics(state.index, delta, False, 0.0),
-    )
+    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, False, 0.0)

@@ -2,8 +2,8 @@
 
 A :class:`SigmaPointRule` describes how to discretize a Gaussian N(mu, sigma)
 into weighted points; :func:`generate_points` instantiates it for a concrete
-moment pair, and the ``propagate_*`` / ``expected_matrix`` helpers compute the
-moment-matching integrals every sigma-point filter is built from.
+moment pair, and the ``propagate_*`` helpers compute the moment-matching
+integrals every sigma-point filter is built from.
 
 Supported rules:
 
@@ -193,11 +193,3 @@ def propagate_with_cross(
     cross = (xdev * cset.cov_weights[:, None]).T @ dev
     return mean, cov, cross
 
-
-def expected_matrix(cset: CollocationSet, h: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Plain expectation of an array-valued function under the set's Gaussian.
-
-    Works for any trailing shape: vectors (gradients) and matrices (Hessians).
-    """
-    vals = _apply(h, cset.points)
-    return np.tensordot(cset.mean_weights, vals, axes=1)

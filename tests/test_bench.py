@@ -275,6 +275,14 @@ def test_ablate_structure(tmp_path):
     assert "duffing" in text and "nano-nopd" in text
 
 
+def test_ablation_reproducible_across_runs(tmp_path):
+    dirs = (tmp_path / "a", tmp_path / "b")
+    for d in dirs:
+        emit_ablation(ablate(models=("duffing",), trials=2, horizon=12, seed=0), d)
+    for name in ("ablation.csv", "ablation.txt"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # emission and parsing
 

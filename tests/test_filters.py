@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nanofilter.errors import ModelNotLinear
+from nanofilter.errors import EstimationError, ModelNotLinear
 from nanofilter.filters import (
     FILTER_IDS,
     ITER_GAMMA,
@@ -231,6 +231,17 @@ def test_filter_step_pd_failure_returns_prior():
     pred = mm_predict(belief, None, model, RULE)
     np.testing.assert_allclose(post.mean, pred.mean)
     np.testing.assert_allclose(post.cov, pred.cov)
+
+
+def test_ekf_step_after_nan_measurement_raises():
+    # a NaN measurement leaves the posterior mean NaN; the next step must
+    # fail loudly instead of returning NaN again
+    model = duffing_model()
+    belief = GaussianBelief(np.zeros(2), np.eye(2))
+    belief, _ = filter_step("ekf", belief, None, np.array([np.nan]), model)
+    assert np.all(np.isnan(belief.mean))
+    with pytest.raises(EstimationError):
+        filter_step("ekf", belief, None, np.array([0.0]), model)
 
 
 def test_filter_step_all_ids_run_on_linear_model():

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from nanofilter.errors import NotPositiveDefinite
-from nanofilter.linalg import (
-    PIVOT_RTOL,
-    cholesky_factor,
-    frobenius_norm,
-    spd_inverse,
-    spd_solve,
-    symmetrize,
-)
+from nanofilter.linalg import cholesky_factor, spd_inverse, spd_solve, symmetrize
 
 
 def test_cholesky_factor_known_values():
@@ -33,14 +26,19 @@ def test_cholesky_factor_rejects_indefinite():
         cholesky_factor(np.diag([1.0, -1e-8]))
 
 
-def test_cholesky_factor_pivot_floor_is_opt_in():
-    # positive definite but conditioned far beyond float precision: the
-    # default accepts it, the explicit singularity test rejects it
+def test_cholesky_factor_accepts_ill_conditioned_pd():
+    # positive definite but conditioned far beyond float precision
     a = np.diag([1.0, 1e-30])
     factor = cholesky_factor(a)
     np.testing.assert_allclose(factor @ factor.T, a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_factor_rejects_non_finite(bad):
+    a = np.eye(2)
+    a[1, 1] = bad
     with pytest.raises(NotPositiveDefinite):
-        cholesky_factor(a, pivot_rtol=PIVOT_RTOL)
+        cholesky_factor(a)
 
 
 def test_cholesky_factor_rejects_asymmetric():
@@ -72,8 +70,3 @@ def test_spd_inverse_roundtrip():
 def test_symmetrize():
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
     np.testing.assert_allclose(symmetrize(a), np.array([[1.0, 1.0], [1.0, 3.0]]))
-
-
-def test_frobenius_norm():
-    assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
-

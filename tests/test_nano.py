@@ -9,7 +9,6 @@ from nanofilter.models import StateSpaceModel, linear_model, simulate_trajectory
 from nanofilter.nano import (
     NANO_PRESETS,
     NanoConfig,
-    NanoIterState,
     chol_cov_step,
     grad_loglik,
     hess_loglik,
@@ -150,19 +149,17 @@ def test_preset_overrides_scope():
 
 
 def test_chol_cov_step_scalar_hand_values():
-    cfg = NanoConfig(cov_update="cholesky-factor")
-    state = NanoIterState(0, np.zeros(1), np.ones((1, 1)), np.ones((1, 1)))
-    out = chol_cov_step(state, np.array([[3.0]]), np.array([[1.0]]), cfg)
+    eps = NanoConfig().epsilon
+    factor = chol_cov_step(np.ones((1, 1)), np.array([[3.0]]), np.array([[1.0]]), eps)
     # exponent = (3 + 1 - 1)/2 = 1.5, factor' = 1 * (1 + 1.5) = 2.5
-    assert out.factor[0, 0] == pytest.approx(2.5, abs=1e-9)
-    assert out.factor[0, 0] ** 2 == pytest.approx(6.25 + cfg.epsilon, abs=1e-8)
-    assert out.cov[0, 0] == pytest.approx(1.0 / 6.25, rel=1e-6)
+    assert factor[0, 0] == pytest.approx(2.5, abs=1e-9)
+    assert factor[0, 0] ** 2 == pytest.approx(6.25 + eps, abs=1e-8)
 
 
 def test_chol_cov_step_pivot_floor():
     # reconstruction keeps every Cholesky pivot at or above sqrt(epsilon),
     # whatever the curvature input looks like
-    cfg = NanoConfig(cov_update="cholesky-factor")
+    eps = NanoConfig().epsilon
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 5))
@@ -171,29 +168,28 @@ def test_chol_cov_step_pivot_floor():
         v = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 6)
         v_xx = (v + v.T) / 2            # arbitrary symmetric, maybe indefinite
         prior_inv = np.eye(n) * 10.0 ** rng.integers(-3, 3)
-        state = NanoIterState(0, np.zeros(n), np.eye(n), factor)
-        out = chol_cov_step(state, v_xx, prior_inv, cfg)
-        assert np.diag(out.factor).min() >= np.sqrt(cfg.epsilon) * (1 - 1e-12)
+        out = chol_cov_step(factor, v_xx, prior_inv, eps)
+        assert np.diag(out).min() >= np.sqrt(eps) * (1 - 1e-12)
 
 
-def test_chol_cov_step_factor_inverts_to_cov():
-    cfg = NanoConfig(cov_update="cholesky-factor")
+def test_chol_cov_step_returns_lower_factor_of_reconstruction():
+    # factor' is the Cholesky factor of moved moved^T + epsilon I, where
+    # moved = factor (I + M) and M = L^-1 (target - L L^T) L^-T / 2
+    eps = 1e-3
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = rng.standard_normal((3, 3))
         factor = cholesky_factor(p @ p.T + np.eye(3))
         v = rng.standard_normal((3, 3))
-        state = NanoIterState(0, np.zeros(3), np.eye(3), factor)
-        out = chol_cov_step(state, (v + v.T) / 2, np.eye(3), cfg)
-        gram = out.factor @ out.factor.T
-        np.testing.assert_allclose(out.cov @ gram, np.eye(3), atol=1e-8)
-
-
-def test_chol_cov_step_requires_factor():
-    cfg = NanoConfig(cov_update="cholesky-factor")
-    state = NanoIterState(0, np.zeros(1), np.ones((1, 1)), None)
-    with pytest.raises(ValueError):
-        chol_cov_step(state, np.eye(1), np.eye(1), cfg)
+        v_xx = (v + v.T) / 2
+        out = chol_cov_step(factor, v_xx, np.eye(3), eps)
+        assert np.array_equal(np.tril(out), out)
+        assert np.diag(out).min() > 0.0
+        l_inv = np.linalg.inv(factor)
+        exponent = 0.5 * l_inv @ (v_xx + np.eye(3) - factor @ factor.T) @ l_inv.T
+        moved = factor @ (np.eye(3) + exponent)
+        np.testing.assert_allclose(out @ out.T, moved @ moved.T + eps * np.eye(3),
+                                   rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from nanofilter.errors import NonFiniteFunctionValue
 from nanofilter.quadrature import (
     GH_MAX_POINTS,
     SigmaPointRule,
-    expected_matrix,
     generate_points,
     parse_rule,
     propagate_moments,
@@ -136,12 +135,6 @@ def test_custom_spread_square_root():
     got_mean, got_cov = propagate_moments(cset, lambda x: x)
     np.testing.assert_allclose(got_mean, mean, atol=1e-10)
     np.testing.assert_allclose(got_cov, cov, rtol=1e-9, atol=1e-10)
-
-
-def test_expected_matrix_shapes():
-    cset = generate_points(SigmaPointRule("cubature"), np.zeros(2), np.eye(2))
-    out = expected_matrix(cset, lambda x: np.outer(x, x))
-    np.testing.assert_allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_nonfinite_function_value_raises():
