@@ -14,7 +14,7 @@ dies.
 import numpy as np
 
 from nanofilter.bench import make_trajectory, run_filter
-from nanofilter.nano import NANO_PRESETS, hess_loglik, hess_loglik_gn
+from nanofilter.nano import hess_loglik, hess_loglik_gn
 from nanofilter.quadrature import parse_rule
 from nanofilter.scenarios import ScenarioConfig, scenario_models
 from nanofilter.systems import duffing_model
@@ -42,7 +42,7 @@ def part2_one_trajectory():
 
     print("one Duffing trajectory, 60 steps, identical measurements:")
     for fid in ("nano-nopd", "nano-ekf", "nano", "nano-chol"):
-        run = run_filter(setup, fid, traj, rule, NANO_PRESETS[fid])
+        run = run_filter(setup, fid, traj, rule)
         if run.diverged:
             print(f"  {fid:<10} died at step {run.steps + 1} (covariance no longer PD)")
         else:

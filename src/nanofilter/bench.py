@@ -24,7 +24,6 @@ import numpy as np
 from .errors import EstimationError, LengthMismatch, ModelNotLinear
 from .filters import FILTER_IDS, GaussianBelief, UpdateDiagnostics, filter_step
 from .models import Trajectory, simulate_trajectory
-from .nano import NANO_PRESETS, NanoConfig, preset_with_overrides
 from .quadrature import SigmaPointRule, parse_rule
 from .scenarios import ScenarioConfig, ScenarioSetup, scenario_models
 
@@ -78,7 +77,6 @@ def run_filter(
     filter_id: str,
     traj: Trajectory,
     rule: SigmaPointRule,
-    nano_cfg: NanoConfig | None = None,
 ) -> FilterRun:
     """Run one filter along one trajectory, stopping early on divergence."""
     model = setup.filter_view
@@ -94,8 +92,7 @@ def run_filter(
         u = traj.inputs[t - 1] if traj.inputs is not None else None
         try:
             belief, diag = filter_step(
-                filter_id, belief, u, traj.measurements[t - 1], model,
-                t=t - 1, rule=rule, nano_cfg=nano_cfg,
+                filter_id, belief, u, traj.measurements[t - 1], model, t=t - 1, rule=rule
             )
         except EstimationError:
             diverged = True
@@ -132,14 +129,12 @@ def run_trial(
     cfg: ScenarioConfig,
     filter_id: str,
     trial: int,
-    nano_overrides: dict | None = None,
     setup: ScenarioSetup | None = None,
 ) -> TrialResult:
     """Simulate trial ``trial`` and run one filter over it."""
     setup = setup or scenario_models(cfg)
     traj = make_trajectory(cfg, trial, setup)
-    nano_cfg = preset_with_overrides(filter_id, nano_overrides) if filter_id in NANO_PRESETS else None
-    run = run_filter(setup, filter_id, traj, parse_rule(cfg.mm), nano_cfg)
+    run = run_filter(setup, filter_id, traj, parse_rule(cfg.mm))
     err = None if run.diverged else rmse(traj.states[1:], run.means)
     times = [d.update_ms for d in run.diagnostics]
     mean_ms = float(np.mean(times)) if times else None
@@ -213,7 +208,6 @@ def _worker_count() -> int:
 def run_monte_carlo(
     cfg: ScenarioConfig,
     filter_ids: tuple[str, ...] = ("nano",),
-    nano_overrides: dict | None = None,
 ) -> BenchmarkReport:
     """Paired Monte Carlo over ``cfg.trials`` trajectories for each filter."""
     for fid in filter_ids:
@@ -227,17 +221,13 @@ def run_monte_carlo(
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda job: run_trial(cfg, job[0], job[1], nano_overrides, setup), jobs)
-            )
+            outcomes = list(pool.map(lambda job: run_trial(cfg, *job, setup), jobs))
     else:
-        outcomes = [run_trial(cfg, fid, trial, nano_overrides, setup) for fid, trial in jobs]
+        outcomes = [run_trial(cfg, fid, trial, setup) for fid, trial in jobs]
 
     results: dict[str, list[TrialResult]] = {fid: [] for fid in filter_ids}
     for (fid, _), res in zip(jobs, outcomes):
         results[fid].append(res)
-    for fid in filter_ids:
-        results[fid].sort(key=lambda r: r.trial)
     return BenchmarkReport(scenario=cfg, filter_ids=tuple(filter_ids), results=results)
 
 
@@ -261,7 +251,6 @@ def sweep_mismatch(
     kind: str,
     levels: tuple[float, ...],
     filter_ids: tuple[str, ...],
-    nano_overrides: dict | None = None,
 ) -> SweepTable:
     """Run the same Monte Carlo at each mismatch level of one kind.
 
@@ -272,7 +261,7 @@ def sweep_mismatch(
     reports: dict[float, BenchmarkReport] = {}
     for level in levels:
         cfg = replace(base, mismatch_kind=kind, mismatch_level=float(level))
-        reports[float(level)] = run_monte_carlo(cfg, filter_ids, nano_overrides)
+        reports[float(level)] = run_monte_carlo(cfg, filter_ids)
     return SweepTable(base.model, kind, tuple(float(lv) for lv in levels),
                       tuple(filter_ids), reports)
 

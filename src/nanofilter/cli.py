@@ -16,8 +16,6 @@ optional ``[section]`` headers acting as dotted-key prefixes, e.g.::
     [mismatch]
     kind = system
     level = 0.1
-    [nano]
-    gamma = 1e-6
 
 Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 """
@@ -56,11 +54,6 @@ _KEY_TYPES = {
     "seed": int,
     "mm": str,
     "filter": str,
-    "nano.gamma": float,
-    "nano.max_iters": int,
-    "nano.hessian": str,
-    "nano.cov_update": str,
-    "nano.epsilon": float,
 }
 
 
@@ -130,13 +123,6 @@ def _filters_from(settings: dict, default: str = "nano") -> tuple[str, ...]:
     return names
 
 
-def _nano_overrides(settings: dict) -> dict | None:
-    overrides = {
-        key.split(".", 1)[1]: value for key, value in settings.items() if key.startswith("nano.")
-    }
-    return overrides or None
-
-
 _RUN_KEYS = {
     "model": "model",
     "mismatch.kind": "mismatch",
@@ -153,7 +139,7 @@ def _cmd_run(args) -> int:
     settings = _merge_settings(args, _RUN_KEYS)
     cfg = _scenario_from(settings)
     filters = _filters_from(settings)
-    report = run_monte_carlo(cfg, filters, _nano_overrides(settings))
+    report = run_monte_carlo(cfg, filters)
     for path in emit_report(report, args.out, include_timing=args.timing):
         print(f"wrote {path}")
     for stats in report.summary():
@@ -181,7 +167,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"bad --levels: {exc}") from exc
     else:
         levels = grid
-    table = sweep_mismatch(cfg, kind, levels, _filters_from(settings), _nano_overrides(settings))
+    table = sweep_mismatch(cfg, kind, levels, _filters_from(settings))
     for path in emit_sweep(table, args.out):
         print(f"wrote {path}")
     return 0

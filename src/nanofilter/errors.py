@@ -22,6 +22,10 @@ class NonFiniteFunctionValue(EstimationError):
     """A model function returned NaN or Inf at a quadrature point."""
 
 
+class NonFiniteMeasurement(EstimationError):
+    """A measurement handed to a filter step contains NaN or Inf."""
+
+
 class NonFiniteState(EstimationError):
     """A simulated trajectory left the finite floats."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ModelNotLinear, PDFailure
+from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
 from .linalg import spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
@@ -135,12 +135,11 @@ def iekf_update(
     prior: GaussianBelief,
     y,
     model: StateSpaceModel,
-    gamma: float = ITER_GAMMA,
     max_iters: int = ITER_MAX,
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Iterated EKF update: Gauss-Newton relinearization of the MAP problem.
 
-    Stops once the mean step is shorter than ``gamma`` or after
+    Stops once the mean step is shorter than ``ITER_GAMMA`` or after
     ``max_iters`` passes.  With ``max_iters=1`` this is exactly
     :func:`ekf_update`.
     """
@@ -156,7 +155,7 @@ def iekf_update(
         x_next = x0 + gain @ (y - model.g(xi) - G @ (x0 - xi))
         delta = float(np.linalg.norm(x_next - xi))
         xi = x_next
-        if delta < gamma:
+        if delta < ITER_GAMMA:
             break
     closure = np.eye(P.shape[0]) - gain @ G
     cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
@@ -200,7 +199,6 @@ def plf_update(
     y,
     model: StateSpaceModel,
     rule: SigmaPointRule,
-    gamma: float = ITER_GAMMA,
     max_iters: int = ITER_MAX,
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Iterated posterior-linearization update.
@@ -210,7 +208,7 @@ def plf_update(
     update of the original prior with measurement noise R + Omega.  The first
     pass linearizes over the prior itself and therefore reproduces
     :func:`ukf_update` exactly.  Stops once the mean step is shorter than
-    ``gamma`` or after ``max_iters`` passes.
+    ``ITER_GAMMA`` or after ``max_iters`` passes.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -229,7 +227,7 @@ def plf_update(
         P_next = symmetrize(P0 - gain @ S @ gain.T)
         delta = float(np.linalg.norm(x_next - xi))
         xi, Pi = x_next, P_next
-        if delta < gamma:
+        if delta < ITER_GAMMA:
             break
     return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, False, 0.0)
 
@@ -254,9 +252,13 @@ def filter_step(
     times the measurement update only (prediction excluded).  A
     positive-definiteness failure inside a natural-gradient update is reported
     via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
+    A measurement with a NaN or Inf entry raises :class:`NonFiniteMeasurement`
+    before any filter work.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}")
+    if not np.isfinite(y).all():
+        raise NonFiniteMeasurement(f"measurement {y!r} is not finite")
     rule = rule or SigmaPointRule("cubature")
 
     if filter_id == "kf":

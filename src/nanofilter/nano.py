@@ -18,7 +18,7 @@ definiteness unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -43,7 +43,9 @@ class NanoConfig:
 
     ``gamma`` and ``max_iters`` bound the iteration; ``epsilon`` is the floor
     ``epsilon I`` added to the reconstructed inverse covariance of the
-    ``"cholesky-factor"`` update.
+    ``"cholesky-factor"`` update.  The benchmark runs only the
+    :data:`NANO_PRESETS`; pass any other config to :func:`nano_update` or
+    ``filter_step(nano_cfg=...)``.
     """
 
     gamma: float = 1e-6
@@ -71,28 +73,6 @@ NANO_PRESETS = {
     "nano-ekf": NanoConfig(hessian="exact", init="ekf"),
     "nano-chol": NanoConfig(cov_update="cholesky-factor"),
 }
-
-# Config-file-tunable fields.  Tuning fields apply to every preset; fields that
-# *define* a preset's identity are honored only for the base "nano" id, so
-# e.g. "nano-chol" cannot be silently turned back into the direct update.
-TUNING_FIELDS = ("gamma", "max_iters", "epsilon")
-IDENTITY_FIELDS = ("hessian", "cov_update", "init")
-
-
-def preset_with_overrides(filter_id: str, overrides=None) -> NanoConfig:
-    """Preset for a natural-gradient filter id with config overrides applied."""
-    base = NANO_PRESETS[filter_id]
-    if not overrides:
-        return base
-    kwargs = {}
-    for key, value in overrides.items():
-        if key in TUNING_FIELDS or (filter_id == "nano" and key in IDENTITY_FIELDS):
-            kwargs[key] = value
-        elif key in IDENTITY_FIELDS:
-            continue
-        else:
-            raise ValueError(f"unknown nano config field {key!r}")
-    return replace(base, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ Supported rules:
     Spherical-radial degree-3 rule, 2n points ``mu +/- sqrt(n) * L e_i``,
     uniform weights ``1/(2n)``.
 ``unscented``
-    Scaled unscented transform, 2n+1 points, parameters (alpha, beta, kappa);
-    kappa defaults to ``3 - n`` at generation time.
+    Unscented transform, 2n+1 points, with the fixed parameters alpha = 1,
+    beta = 2, kappa = 3 - n: points ``mu`` and ``mu +/- sqrt(3) * L e_i``,
+    mean weights ``(3 - n)/3`` at the centre and ``1/6`` elsewhere, and
+    ``2`` added to the centre covariance weight.
 ``gauss-hermite``
     Tensor product of the p-point probabilists' Gauss-Hermite rule, ``p**n``
     points; exact for 1-D polynomials up to degree ``2p - 1``.
@@ -42,14 +44,10 @@ _RULE_KINDS = ("cubature", "unscented", "gauss-hermite")
 class SigmaPointRule:
     """Descriptor for a sigma-point rule; independent of dimension.
 
-    ``alpha``/``beta``/``kappa`` only matter for ``unscented`` and ``order``
-    only for ``gauss-hermite``.  ``kappa=None`` means "use 3 - n".
+    ``order`` only matters for ``gauss-hermite``.
     """
 
     kind: str = "cubature"
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float | None = None
     order: int = 3
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class SigmaPointRule:
             raise ValueError(
                 f"gauss-hermite order must be in [{GH_MIN_ORDER}, {GH_MAX_ORDER}], got {self.order}"
             )
-        if self.kind == "unscented" and self.alpha <= 0:
-            raise ValueError("unscented alpha must be positive")
 
 
 def parse_rule(text: str) -> SigmaPointRule:
@@ -135,16 +131,13 @@ def generate_points(
         return CollocationSet(points, w, w.copy(), mean, spread)
 
     if rule.kind == "unscented":
-        kappa = (3.0 - n) if rule.kappa is None else rule.kappa
-        lam = rule.alpha ** 2 * (n + kappa) - n
-        if n + lam <= 0:
-            raise ValueError(f"unscented scaling n + lambda = {n + lam} must be positive")
-        offsets = np.sqrt(n + lam) * spread.T
+        # alpha = 1, kappa = 3 - n: lambda = 3 - n and n + lambda = 3 exactly
+        offsets = np.sqrt(3.0) * spread.T
         points = np.vstack([mean[None, :], mean + offsets, mean - offsets])
-        wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-        wm[0] = lam / (n + lam)
+        wm = np.full(2 * n + 1, 1.0 / 6.0)
+        wm[0] = (3.0 - n) / 3.0
         wc = wm.copy()
-        wc[0] += 1.0 - rule.alpha ** 2 + rule.beta
+        wc[0] += 2.0  # 1 - alpha^2 + beta with beta = 2
         return CollocationSet(points, wm, wc, mean, spread)
 
     # gauss-hermite tensor product

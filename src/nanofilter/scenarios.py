@@ -67,8 +67,8 @@ class ScenarioConfig:
                 f"unknown mismatch kind {self.mismatch_kind!r}; expected one of {MISMATCH_KINDS}"
             )
         _check_level(self.model, self.mismatch_kind, self.mismatch_level)
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if self.horizon < 1:
+            raise ValueError("horizon must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 

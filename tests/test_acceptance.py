@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from nanofilter.nano import (
     hess_loglik,
     hess_loglik_gn,
     loglik,
-    preset_with_overrides,
 )
 from nanofilter.quadrature import generate_points, parse_rule, propagate_moments
 from nanofilter.scenarios import (
@@ -95,8 +95,8 @@ def test_criterion_1_linear_gaussian_equivalence():
     # epsilon*I, biasing the covariance by about epsilon*||P||^2; shrink
     # epsilon so the gate measures the fixed point, not the regularizer.
     cfgs = {
-        "nano": preset_with_overrides("nano"),
-        "nano-chol": preset_with_overrides("nano-chol", {"epsilon": 1e-12}),
+        "nano": NANO_PRESETS["nano"],
+        "nano-chol": replace(NANO_PRESETS["nano-chol"], epsilon=1e-12),
     }
     worst_mean = worst_cov = 0.0
     for seed in range(50):
@@ -148,10 +148,9 @@ def test_criterion_2_pd_preservation():
                                  trials=20, horizon=100, seed=0)
             setup = scenario_models(cfg)
             for fid in ("nano", "nano-chol"):
-                ncfg = NANO_PRESETS[fid]
                 for trial in range(cfg.trials):
                     traj = make_trajectory(cfg, trial, setup)
-                    run = run_filter(setup, fid, traj, rule, ncfg)
+                    run = run_filter(setup, fid, traj, rule)
                     pd_failures += sum(d.pd_failure for d in run.diagnostics)
                     incomplete += run.steps < cfg.horizon
                     for cov in run.covs:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nanofilter.errors import EstimationError, ModelNotLinear
+from nanofilter.errors import EstimationError, ModelNotLinear, NonFiniteMeasurement
 from nanofilter.filters import (
     FILTER_IDS,
     ITER_GAMMA,
@@ -234,14 +234,28 @@ def test_filter_step_pd_failure_returns_prior():
 
 
 def test_ekf_step_after_nan_measurement_raises():
-    # a NaN measurement leaves the posterior mean NaN; the next step must
-    # fail loudly instead of returning NaN again
+    # a NaN measurement is refused on the step that receives it, and a NaN
+    # mean from elsewhere still fails loudly on the next step
     model = duffing_model()
     belief = GaussianBelief(np.zeros(2), np.eye(2))
-    belief, _ = filter_step("ekf", belief, None, np.array([np.nan]), model)
-    assert np.all(np.isnan(belief.mean))
+    with pytest.raises(NonFiniteMeasurement):
+        filter_step("ekf", belief, None, np.array([np.nan]), model)
+    nan_belief = GaussianBelief(np.full(2, np.nan), np.eye(2))
     with pytest.raises(EstimationError):
-        filter_step("ekf", belief, None, np.array([0.0]), model)
+        filter_step("ekf", nan_belief, None, np.array([0.0]), model)
+
+
+@pytest.mark.parametrize("filter_id", FILTER_IDS)
+def test_nonfinite_measurement_raises_one_error(filter_id):
+    # every filter names the same cause for a NaN measurement on its first step
+    if filter_id == "kf":
+        model, belief, u, y = random_linear(8, m=2, with_b=True)
+        y = np.array([y[0], np.nan])
+    else:
+        model, belief, u = duffing_model(), GaussianBelief(np.zeros(2), np.eye(2)), None
+        y = np.array([np.nan])
+    with pytest.raises(NonFiniteMeasurement):
+        filter_step(filter_id, belief, u, y, model)
 
 
 def test_filter_step_all_ids_run_on_linear_model():

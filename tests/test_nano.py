@@ -15,7 +15,6 @@ from nanofilter.nano import (
     hess_loglik_gn,
     loglik,
     nano_update,
-    preset_with_overrides,
     _expected_derivatives,
 )
 from nanofilter.quadrature import SigmaPointRule, generate_points
@@ -128,20 +127,6 @@ def test_presets():
     assert NANO_PRESETS["nano-nopd"].hessian == "exact"
     assert NANO_PRESETS["nano-ekf"].init == "ekf"
     assert NANO_PRESETS["nano-chol"].cov_update == "cholesky-factor"
-
-
-def test_preset_overrides_scope():
-    # tuning fields reach every preset
-    cfg = preset_with_overrides("nano-chol", {"gamma": 1e-8, "max_iters": 25})
-    assert cfg.gamma == 1e-8 and cfg.max_iters == 25
-    assert cfg.cov_update == "cholesky-factor"
-    # identity fields only reshape the base preset
-    cfg = preset_with_overrides("nano", {"hessian": "exact"})
-    assert cfg.hessian == "exact"
-    cfg = preset_with_overrides("nano-chol", {"cov_update": "direct"})
-    assert cfg.cov_update == "cholesky-factor"  # ignored, preset identity wins
-    with pytest.raises(ValueError):
-        preset_with_overrides("nano", {"turbo": True})
 
 
 # ---------------------------------------------------------------------------

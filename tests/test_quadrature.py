@@ -29,8 +29,6 @@ def test_parse_rule():
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        SigmaPointRule("unscented", alpha=0.0)
-    with pytest.raises(ValueError):
         SigmaPointRule("banana")
 
 
@@ -99,22 +97,17 @@ def test_cubature_point_layout():
     np.testing.assert_allclose(cset.points, expected, atol=1e-12)
 
 
-def test_unscented_default_kappa_and_weights():
-    n = 2
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_unscented_default_kappa_and_weights(n):
+    # alpha = 1, kappa = 3 - n -> lambda = 3 - n, n + lambda = 3; the centre
+    # mean weight (3 - n)/3 is negative for n = 4
     cset = generate_points(SigmaPointRule("unscented"), np.zeros(n), np.eye(n))
-    # kappa = 3 - n, alpha = 1 -> lambda = 1, n + lambda = 3
-    assert cset.points.shape == (2 * n + 1, n)
-    assert cset.mean_weights[0] == pytest.approx(1.0 / 3.0)
-    np.testing.assert_allclose(cset.mean_weights[1:], 1.0 / 6.0)
-    # beta=2 adds 1 - alpha^2 + beta = 2 to the center covariance weight
-    assert cset.cov_weights[0] == pytest.approx(1.0 / 3.0 + 2.0)
-    offs = cset.points[1:3] - 0.0
-    np.testing.assert_allclose(np.abs(offs[0]), [np.sqrt(3.0), 0.0], atol=1e-12)
-
-
-def test_unscented_rejects_nonpositive_scaling():
-    with pytest.raises(ValueError):
-        generate_points(SigmaPointRule("unscented", kappa=-10.0), np.zeros(2), np.eye(2))
+    outer = [1 / 6] * (2 * n)
+    np.testing.assert_array_equal(cset.mean_weights, [(3 - n) / 3] + outer)
+    # beta = 2 adds 1 - alpha^2 + beta = 2 to the centre covariance weight
+    np.testing.assert_array_equal(cset.cov_weights, [(3 - n) / 3 + 2.0] + outer)
+    offsets = np.sqrt(3.0) * np.eye(n)
+    np.testing.assert_array_equal(cset.points, np.vstack([np.zeros((1, n)), offsets, -offsets]))
 
 
 def test_gauss_hermite_point_cap():
