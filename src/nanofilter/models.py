@@ -9,6 +9,11 @@ together with its Jacobians (and optionally measurement second derivatives and
 an exact linear form).  ``Q``/``R`` are the *filter's* Gaussian noise
 covariances; what the simulator actually draws is described separately by
 :class:`NoiseSpec`, so model mismatch and heavy-tailed truth are expressible.
+
+``f``, ``g``, ``jac_g`` and ``hess_g`` map a stack of states ``x`` of shape
+``(..., n)`` to ``(..., n)``, ``(..., m)``, ``(..., m, n)`` and
+``(..., m, n, n)``; a single ``(n,)`` state is the empty-stack case.  Sigma-point
+filters evaluate a whole point set with one call.  ``jac_f`` takes one state.
 """
 
 from __future__ import annotations
@@ -40,9 +45,13 @@ class StateSpaceModel:
     """Nonlinear state-space model with the derivatives filters need.
 
     ``f(x, u, t)`` and ``jac_f(x, u, t)`` take ``u=None`` when ``l == 0``.
-    ``hess_g(x)`` returns shape (m, n, n) -- second derivatives of each
-    measurement component -- and may be omitted for filters that never ask.
-    Treat instances as immutable; ``R_inv`` is derived once at construction.
+    ``f``, ``g``, ``jac_g`` and ``hess_g`` accept a stack ``x`` of shape
+    ``(..., n)`` and return one result per state, with the stack shape leading:
+    ``(..., n)``, ``(..., m)``, ``(..., m, n)`` and ``(..., m, n, n)``.
+    ``jac_f`` takes a single ``(n,)`` state.  ``hess_g`` holds the second
+    derivatives of each measurement component and may be omitted for filters
+    that never ask.  Treat instances as immutable; ``R_inv`` is derived once at
+    construction.
     """
 
     name: str
@@ -88,15 +97,14 @@ def linear_model(
     l = 0 if B is None else B.shape[1]
 
     def f(x, u, t):
-        out = A @ x
+        out = (A @ x[..., None])[..., 0]
         if B is not None and u is not None:
             out = out + B @ u
         return out
 
     def g(x):
-        return H @ x
+        return (H @ x[..., None])[..., 0]
 
-    zeros_hess = np.zeros((m, n, n))
     return StateSpaceModel(
         name=name,
         n=n,
@@ -105,8 +113,8 @@ def linear_model(
         f=f,
         g=g,
         jac_f=lambda x, u, t: A,
-        jac_g=lambda x: H,
-        hess_g=lambda x: zeros_hess,
+        jac_g=lambda x: np.broadcast_to(H, x.shape[:-1] + H.shape),
+        hess_g=lambda x: np.zeros(x.shape[:-1] + (m, n, n)),
         Q=Q,
         R=R,
         linear=LinearParts(A=A, H=H, B=B),

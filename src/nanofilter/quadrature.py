@@ -22,6 +22,7 @@ Supported rules:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -104,6 +105,20 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=32)
+def _hermite_grid(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tensor-product grid ``(order**n, n)`` and its weights, read-only.
+
+    Depends only on ``(order, n)``, so each pair is built once per process.
+    """
+    nodes, weights = _hermite_nodes(order)
+    grid = np.array(list(itertools.product(nodes, repeat=n)))
+    w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
+    grid.flags.writeable = False
+    w.flags.writeable = False
+    return grid, w
+
+
 def generate_points(
     rule: SigmaPointRule,
     mean: np.ndarray,
@@ -146,15 +161,23 @@ def generate_points(
             f"gauss-hermite tensor product would need {rule.order}**{n} points "
             f"(cap {GH_MAX_POINTS})"
         )
-    nodes, weights = _hermite_nodes(rule.order)
-    grids = np.array(list(itertools.product(nodes, repeat=n)))        # (p**n, n)
-    w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
-    points = mean + grids @ spread.T
+    grid, w = _hermite_grid(rule.order, n)
+    points = mean + grid @ spread.T
     return CollocationSet(points, w, w.copy(), mean, spread)
 
 
 def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    vals = np.stack([np.asarray(h(p), dtype=float) for p in points])
+    """Evaluate ``h`` on the whole ``(N, n)`` point stack with one call.
+
+    ``h`` must map ``(..., n)`` to ``(..., k)``; a result without one row per
+    point means ``h`` only handles single points and raises ``ValueError``.
+    """
+    vals = np.asarray(h(points), dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != len(points):
+        raise ValueError(
+            f"function mapped {len(points)} stacked points to shape {vals.shape}; "
+            "it must accept (..., n) stacks and return (..., k)"
+        )
     if not np.all(np.isfinite(vals)):
         raise NonFiniteFunctionValue("function returned NaN/Inf at a sigma point")
     return vals

@@ -27,6 +27,7 @@ from .models import (
     laplace_noise,
     mixture_outlier_noise,
 )
+from .quadrature import parse_rule
 from .systems import ATTITUDE_LAPLACE_SCALE, attitude_model, duffing_model, fm_demodulator
 
 MODEL_IDS = ("fm", "attitude", "duffing")
@@ -71,6 +72,7 @@ class ScenarioConfig:
             raise ValueError("horizon must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        parse_rule(self.mm)
 
 
 def _check_level(model: str, kind: str, level: float) -> None:

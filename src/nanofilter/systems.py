@@ -22,6 +22,18 @@ import numpy as np
 from .errors import GimbalLock
 from .models import StateSpaceModel
 
+
+def _component(x: np.ndarray, i: int):
+    """``x[..., i]``: an array for a stack of states, a NumPy scalar for one state.
+
+    Single-state calls (simulation, EKF) then run on NumPy's scalar arithmetic,
+    which is much cheaper than 0-d array operations.  Scalar ``**`` calls the C
+    library's ``pow`` while arrays use NumPy's own, so powers are written as
+    ``np.power``/``np.square`` to give the same bits for one state and a stack.
+    """
+    return x[..., i][()]
+
+
 # ---------------------------------------------------------------------------
 # FM demodulator
 
@@ -48,22 +60,28 @@ def fm_demodulator(beta: float = 100.0, matrix_mode: str = "literal") -> StateSp
     root2 = np.sqrt(2.0)
 
     def g(x):
-        return root2 * np.array([np.sin(x[1]), np.cos(x[1])])
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = root2 * np.sin(x[..., 1])
+        out[..., 1] = root2 * np.cos(x[..., 1])
+        return out
 
     def jac_g(x):
-        return root2 * np.array([[0.0, np.cos(x[1])], [0.0, -np.sin(x[1])]])
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 1] = root2 * np.cos(x[..., 1])
+        out[..., 1, 1] = -root2 * np.sin(x[..., 1])
+        return out
 
     def hess_g(x):
-        h = np.zeros((2, 2, 2))
-        h[0, 1, 1] = -root2 * np.sin(x[1])
-        h[1, 1, 1] = -root2 * np.cos(x[1])
-        return h
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 1, 1] = -root2 * np.sin(x[..., 1])
+        out[..., 1, 1, 1] = -root2 * np.cos(x[..., 1])
+        return out
 
     return StateSpaceModel(
         name="fm",
         n=2,
         m=2,
-        f=lambda x, u, t: A @ x,
+        f=lambda x, u, t: (A @ x[..., None])[..., 0],
         g=g,
         jac_f=lambda x, u, t: A,
         jac_g=jac_g,
@@ -84,26 +102,38 @@ GIMBAL_COS_TOL = 1e-6
 ATTITUDE_LAPLACE_SCALE = 1e-5
 
 
-def _axis_rotation(axis: int, angle: float, deriv: int = 0) -> np.ndarray:
+# Row/column pair each elementary rotation acts on, ordered so the block
+# reads [[c, -s], [s, c]].
+_ROTATION_PLANE = ((1, 2), (2, 0), (0, 1))
+
+
+def _axis_rotation(axis: int, angle, deriv: int = 0) -> np.ndarray:
     """Elementary rotation about the given axis, or its angle-derivative.
 
-    Differentiating rotates the (cos, sin) pair and kills the constant 1, so
-    the same layout serves all derivative orders.
+    ``angle`` may be a scalar or an array; the result has shape
+    ``angle.shape + (3, 3)``.  Differentiating rotates the (cos, sin) pair and
+    kills the constant 1, so the same layout serves all derivative orders.
     """
     c, s = np.cos(angle), np.sin(angle)
     for _ in range(deriv):
         c, s = -s, c
-    one = 1.0 if deriv == 0 else 0.0
-    if axis == 0:   # x
-        return np.array([[one, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    if axis == 1:   # y
-        return np.array([[c, 0.0, s], [0.0, one, 0.0], [-s, 0.0, c]])
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, one]])
+    i, j = _ROTATION_PLANE[axis]
+    out = np.zeros(c.shape + (3, 3))
+    if deriv == 0:
+        out[..., axis, axis] = 1.0
+    out[..., i, i] = c
+    out[..., i, j] = -s
+    out[..., j, i] = s
+    out[..., j, j] = c
+    return out
 
 
 def _body_rotation(theta: np.ndarray, d_pitch: int = 0, d_roll: int = 0, d_yaw: int = 0) -> np.ndarray:
-    """Rz(yaw) Ry(pitch) Rx(roll) with per-factor derivative orders."""
-    pitch, roll, yaw = theta
+    """Rz(yaw) Ry(pitch) Rx(roll) with per-factor derivative orders.
+
+    ``theta`` has shape (..., 3); the result has shape (..., 3, 3).
+    """
+    pitch, roll, yaw = (_component(theta, i) for i in range(3))
     return (
         _axis_rotation(2, yaw, d_yaw)
         @ _axis_rotation(1, pitch, d_pitch)
@@ -112,20 +142,25 @@ def _body_rotation(theta: np.ndarray, d_pitch: int = 0, d_roll: int = 0, d_yaw: 
 
 
 def _rate_matrix(theta: np.ndarray) -> np.ndarray:
-    """Map body rates to Euler-angle rates; rows (pitch, roll, yaw)."""
-    pitch, roll = theta[0], theta[1]
+    """Map body rates to Euler-angle rates; rows (pitch, roll, yaw).
+
+    ``theta`` has shape (..., 3); the result has shape (..., 3, 3).
+    """
+    pitch, roll = _component(theta, 0), _component(theta, 1)
     cp = np.cos(pitch)
-    if abs(cp) < GIMBAL_COS_TOL:
+    if (np.abs(cp) < GIMBAL_COS_TOL).any():
         raise GimbalLock(f"pitch {pitch} too close to +/-90 degrees")
     tp = np.tan(pitch)
     sr, cr = np.sin(roll), np.cos(roll)
-    return np.array(
-        [
-            [0.0, cr, -sr],
-            [1.0, sr * tp, cr * tp],
-            [0.0, sr / cp, cr / cp],
-        ]
-    )
+    out = np.zeros(cp.shape + (3, 3))
+    out[..., 0, 1] = cr
+    out[..., 0, 2] = -sr
+    out[..., 1, 0] = 1.0
+    out[..., 1, 1] = sr * tp
+    out[..., 1, 2] = cr * tp
+    out[..., 2, 1] = sr / cp
+    out[..., 2, 2] = cr / cp
+    return out
 
 
 def _rate_matrix_grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,29 +205,32 @@ def attitude_model(
     magnetic = np.asarray(magnetic, dtype=float)
 
     def g(x):
-        body = _body_rotation(x).T
-        return np.concatenate([body @ gravity, body @ magnetic])
+        body = _body_rotation(x).swapaxes(-1, -2)
+        out = np.empty(x.shape[:-1] + (6,))
+        out[..., :3] = body @ gravity
+        out[..., 3:] = body @ magnetic
+        return out
 
     def jac_g(x):
-        out = np.empty((6, 3))
+        out = np.empty(x.shape[:-1] + (6, 3))
         for a, orders in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            d = _body_rotation(x, *orders).T
-            out[:3, a] = d @ gravity
-            out[3:, a] = d @ magnetic
+            d = _body_rotation(x, *orders).swapaxes(-1, -2)
+            out[..., :3, a] = d @ gravity
+            out[..., 3:, a] = d @ magnetic
         return out
 
     def hess_g(x):
-        out = np.empty((6, 3, 3))
+        out = np.empty(x.shape[:-1] + (6, 3, 3))
         for a in range(3):
             for b in range(a, 3):
                 orders = [0, 0, 0]
                 orders[a] += 1
                 orders[b] += 1
-                d = _body_rotation(x, *orders).T
-                out[:3, a, b] = d @ gravity
-                out[3:, a, b] = d @ magnetic
+                d = _body_rotation(x, *orders).swapaxes(-1, -2)
+                out[..., :3, a, b] = d @ gravity
+                out[..., 3:, a, b] = d @ magnetic
                 if b != a:
-                    out[:, b, a] = out[:, a, b]
+                    out[..., b, a] = out[..., a, b]
         return out
 
     def f(x, u, t):
@@ -243,14 +281,17 @@ def duffing_model(
     """
 
     def f(x, u, t):
-        pos, vel = x
+        pos, vel = _component(x, 0), _component(x, 1)
         accel = (
             -2.0 * damping * natural_freq * vel
             - natural_freq ** 2 * pos
-            - stiffness * pos ** 3
+            - stiffness * np.power(pos, 3)
             + forcing * np.cos(forcing_freq * t * dt)
         )
-        return np.array([pos + vel * dt, vel + accel * dt])
+        out = np.empty(x.shape)
+        out[..., 0] = pos + vel * dt
+        out[..., 1] = vel + accel * dt
+        return out
 
     def jac_f(x, u, t):
         pos = x[0]
@@ -263,13 +304,17 @@ def duffing_model(
         )
 
     def g(x):
-        return np.array([x[0] ** 3])
+        return np.power(x[..., :1], 3)
 
     def jac_g(x):
-        return np.array([[3.0 * x[0] ** 2, 0.0]])
+        out = np.zeros(x.shape[:-1] + (1, 2))
+        out[..., 0, 0] = 3.0 * np.square(_component(x, 0))
+        return out
 
     def hess_g(x):
-        return np.array([[[6.0 * x[0], 0.0], [0.0, 0.0]]])
+        out = np.zeros(x.shape[:-1] + (1, 2, 2))
+        out[..., 0, 0, 0] = 6.0 * x[..., 0]
+        return out
 
     return StateSpaceModel(
         name="duffing",

@@ -352,7 +352,7 @@ def test_criterion_7_moment_matching_exactness():
             s = rng.standard_normal((n, n))
             sigma = s @ s.T + 0.5 * np.eye(n)
             A, b = rng.standard_normal((k, n)), rng.standard_normal(k)
-            mean, cov = propagate_moments(generate_points(rule, mu, sigma), lambda x: A @ x + b)
+            mean, cov = propagate_moments(generate_points(rule, mu, sigma), lambda x: x @ A.T + b)
             want_mean, want_cov = A @ mu + b, A @ sigma @ A.T
             err = max(
                 np.linalg.norm(mean - want_mean) / max(np.linalg.norm(want_mean), 1.0),

@@ -207,6 +207,16 @@ def test_run_monte_carlo_rejects_unknown_filter():
         run_monte_carlo(cfg, ("ekf", "bogus"))
 
 
+def test_bad_rule_rejected_before_any_trajectory(monkeypatch):
+    import nanofilter.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "make_trajectory", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="unknown sigma-point rule"):
+        run_monte_carlo(ScenarioConfig(model="duffing", trials=2, horizon=5, mm="bogus"), ("ekf",))
+    assert calls == []
+
+
 def test_kf_requires_linear_model():
     cfg = ScenarioConfig(model="fm", trials=1, horizon=5, seed=0)
     with pytest.raises(ModelNotLinear):

@@ -38,6 +38,18 @@ def test_linear_model_wiring():
     np.testing.assert_allclose(model.linear.B, B)
 
 
+@pytest.mark.parametrize("name", ["f", "g", "jac_g", "hess_g"])
+def test_linear_model_stacked_call_equals_per_point_calls(name):
+    rng = np.random.default_rng(3)
+    A, H, B = rng.standard_normal((3, 3)), rng.standard_normal((2, 3)), rng.standard_normal((3, 1))
+    model = linear_model(A, H, Q=np.eye(3), R=np.eye(2), B=B)
+    stack = rng.standard_normal((27, 3))
+    u = np.array([0.5])
+    fn = getattr(model, name)
+    call = (lambda x: fn(x, u, 0)) if name == "f" else fn
+    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+
+
 def test_model_validates_covariance_shapes():
     with pytest.raises(ValueError):
         StateSpaceModel(

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from nanofilter.errors import MissingHessian, PDFailure
 from nanofilter.filters import GaussianBelief, kf_step, mm_predict
-from nanofilter.linalg import cholesky_factor
+from nanofilter.linalg import cholesky_factor, symmetrize
 from nanofilter.models import StateSpaceModel, linear_model, simulate_trajectory
 from nanofilter.nano import (
     NANO_PRESETS,
@@ -17,9 +17,9 @@ from nanofilter.nano import (
     nano_update,
     _expected_derivatives,
 )
-from nanofilter.quadrature import SigmaPointRule, generate_points
+from nanofilter.quadrature import SigmaPointRule, generate_points, parse_rule
 from nanofilter.scenarios import ScenarioConfig, scenario_models
-from nanofilter.systems import duffing_model
+from nanofilter.systems import attitude_model, duffing_model
 
 RULE = SigmaPointRule("cubature")
 
@@ -29,10 +29,10 @@ def cubic_model():
     return StateSpaceModel(
         name="cubic", n=1, m=1,
         f=lambda x, u, t: x,
-        g=lambda x: np.array([x[0] ** 3]),
+        g=lambda x: x[..., :1] ** 3,
         jac_f=lambda x, u, t: np.eye(1),
-        jac_g=lambda x: np.array([[3.0 * x[0] ** 2]]),
-        hess_g=lambda x: np.array([[[6.0 * x[0]]]]),
+        jac_g=lambda x: 3.0 * x[..., :1, None] ** 2,
+        hess_g=lambda x: 6.0 * x[..., :1, None, None],
         Q=np.eye(1), R=np.eye(1),
     )
 
@@ -102,6 +102,28 @@ def test_expected_derivatives_collapse_to_point_values():
     np.testing.assert_allclose(v_xx, hess_loglik_gn(x, model), atol=1e-5)
     v_x2, v_xx2 = _expected_derivatives(cset, y, model, exact=True)
     np.testing.assert_allclose(v_xx2, hess_loglik(x, y, model), atol=1e-5)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_expected_derivatives_equal_a_per_point_loop(exact):
+    model = attitude_model()
+    rng = np.random.default_rng(4)
+    s = 0.05 * rng.standard_normal((3, 3))
+    cset = generate_points(parse_rule("gh:3"), 0.3 * rng.standard_normal(3), s @ s.T + 1e-4 * np.eye(3))
+    y = model.g(np.array([0.3, -0.2, 0.1])) + 0.01 * rng.standard_normal(6)
+    v_x, v_xx = np.zeros(3), np.zeros((3, 3))
+    for w, p in zip(cset.mean_weights, cset.points):
+        G = model.jac_g(p)
+        scaled = model.R_inv @ G
+        resid = model.g(p) - y
+        v_x += w * (scaled.T @ resid)
+        h = G.T @ scaled
+        if exact:
+            h = h + np.tensordot(model.R_inv @ resid, model.hess_g(p), axes=1)
+        v_xx += w * h
+    got_x, got_xx = _expected_derivatives(cset, y, model, exact)
+    assert np.array_equal(got_x, v_x)
+    assert np.array_equal(got_xx, symmetrize(v_xx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from nanofilter.errors import NonFiniteFunctionValue
 from nanofilter.quadrature import (
     GH_MAX_POINTS,
     SigmaPointRule,
+    _apply,
+    _hermite_grid,
+    _hermite_nodes,
     generate_points,
     parse_rule,
     propagate_moments,
@@ -77,7 +82,7 @@ def test_affine_propagation_is_exact(kind):
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     cset = generate_points(SigmaPointRule(kind), mean, cov)
-    got_mean, got_cov, got_cross = propagate_with_cross(cset, lambda x: A @ x + b)
+    got_mean, got_cov, got_cross = propagate_with_cross(cset, lambda x: x @ A.T + b)
     np.testing.assert_allclose(got_mean, A @ mean + b, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(got_cov, A @ cov @ A.T, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(got_cross, cov @ A.T, rtol=1e-9, atol=1e-9)
@@ -133,4 +138,42 @@ def test_custom_spread_square_root():
 def test_nonfinite_function_value_raises():
     cset = generate_points(SigmaPointRule("cubature"), np.zeros(1), np.eye(1))
     with pytest.raises(NonFiniteFunctionValue):
-        propagate_moments(cset, lambda x: np.array([np.inf]))
+        propagate_moments(cset, lambda x: np.full(x.shape, np.inf))
+
+
+def test_propagation_calls_the_function_once_per_set():
+    cset = generate_points(parse_rule("gh:3"), np.zeros(3), np.eye(3))
+    calls = []
+
+    def h(x):
+        calls.append(x.shape)
+        return np.sin(x)
+
+    propagate_with_cross(cset, h)
+    assert calls == [(27, 3)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_apply_rejects_a_per_point_function(count):
+    points = np.arange(2.0 * count).reshape(count, 2)
+    with pytest.raises(ValueError, match="stack"):
+        _apply(lambda x: np.array([x[0] ** 3]), points)
+
+
+@pytest.mark.parametrize("order, n", [(2, 1), (3, 2), (3, 3), (5, 2)])
+def test_cached_hermite_grid_matches_a_fresh_build(order, n):
+    nodes, weights = _hermite_nodes(order)
+    fresh_grid = np.array(list(itertools.product(nodes, repeat=n)))
+    fresh_w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
+    grid, w = _hermite_grid(order, n)
+    assert grid is _hermite_grid(order, n)[0]
+    assert np.array_equal(grid, fresh_grid) and np.array_equal(w, fresh_w)
+    assert not grid.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
+    rng = np.random.default_rng(order * 10 + n)
+    mean = rng.standard_normal(n)
+    s = rng.standard_normal((n, n))
+    cset = generate_points(SigmaPointRule("gauss-hermite", order), mean, s @ s.T + np.eye(n))
+    assert np.array_equal(cset.points, mean + fresh_grid @ cset.spread.T)
+    assert np.array_equal(cset.mean_weights, fresh_w)

@@ -97,6 +97,14 @@ def test_attitude_gimbal_lock():
         model.f(np.array([np.pi / 2, 0.0, 0.0]), np.ones(3), 0)
 
 
+def test_attitude_gimbal_lock_anywhere_in_a_stack():
+    model = attitude_model()
+    stack = np.zeros((4, 3))
+    stack[2, 0] = np.pi / 2
+    with pytest.raises(GimbalLock):
+        model.f(stack, np.ones(3), 0)
+
+
 def test_attitude_control_profile():
     model = attitude_model()
     np.testing.assert_allclose(model.control(0), np.zeros(3), atol=1e-15)
@@ -186,3 +194,30 @@ def test_dynamics_jacobian_matches_differences(maker):
         u = model.control(t) if model.control is not None else None
         num = central_jac(lambda s: model.f(s, u, t), x)
         np.testing.assert_allclose(model.jac_f(x, u, t), num, rtol=1e-4, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Stack contract: one call on (..., n) equals the per-point calls
+
+
+@pytest.mark.parametrize("maker", [fm_demodulator, attitude_model, duffing_model])
+@pytest.mark.parametrize("name", ["f", "g", "jac_g", "hess_g"])
+def test_stacked_call_equals_per_point_calls(maker, name):
+    model = maker()
+    rng = np.random.default_rng(27)
+    stack = rng.uniform(-1.0, 1.0, size=(27, model.n))
+    u = model.control(5) if model.control is not None else None
+    fn = getattr(model, name)
+    call = (lambda x: fn(x, u, 5)) if name == "f" else fn
+    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+
+
+@pytest.mark.parametrize("name", ["f", "g", "jac_g"])
+def test_duffing_powers_match_between_one_state_and_a_stack(name):
+    # scalar ** and NumPy's array power disagree in the last bit on a few
+    # percent of inputs; a large stack makes such a mismatch certain to show
+    model = duffing_model()
+    stack = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, 2))
+    fn = getattr(model, name)
+    call = (lambda x: fn(x, None, 7)) if name == "f" else fn
+    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
