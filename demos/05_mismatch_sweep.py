@@ -12,23 +12,22 @@ Command-line equivalent:
 """
 
 from nanofilter.bench import sweep_mismatch
-from nanofilter.scenarios import OUTLIER_GRID, ScenarioConfig
+from nanofilter.scenarios import ScenarioConfig, mismatch_grid
 
 FILTERS = ("ekf", "ukf", "nano")
 
 
 def main():
     base = ScenarioConfig(model="duffing", trials=10, horizon=80, seed=0)
-    levels = OUTLIER_GRID["duffing"]
-    table = sweep_mismatch(base, "outlier", levels, FILTERS)
+    reports = sweep_mismatch(base, "outlier", mismatch_grid("duffing", "outlier"), FILTERS)
 
     print(f"duffing outlier sweep, {base.trials} trials x {base.horizon} steps\n")
     header = f"{'k':>5} " + "".join(f"{fid:>10}" for fid in FILTERS)
     print(header + "   (mean rmse; 'diverge' = majority of trials failed)")
-    for level in table.levels:
-        row = f"{level:>5.2f} "
+    for report in reports:
+        row = f"{report.scenario.mismatch_level:>5.2f} "
         for fid in FILTERS:
-            row += f"{table.reports[level].stats(fid).label:>10}"
+            row += f"{report.stats(fid).label:>10}"
         print(row)
 
     print("\nEvery filter degrades with contamination it does not model; the")

@@ -12,8 +12,6 @@ trials are excluded from RMSE aggregates and counted separately.
 from __future__ import annotations
 
 import csv
-import hashlib
-import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,9 +23,7 @@ from .errors import EstimationError, LengthMismatch, ModelNotLinear
 from .filters import FILTER_IDS, GaussianBelief, UpdateDiagnostics, filter_step
 from .models import Trajectory, simulate_trajectory
 from .quadrature import SigmaPointRule, parse_rule
-from .scenarios import ScenarioConfig, ScenarioSetup, scenario_models
-
-log = logging.getLogger(__name__)
+from .scenarios import MODEL_IDS, ScenarioConfig, ScenarioSetup, scenario_models
 
 DIVERGENCE_LIMIT = 1e6
 RNG_NAME = "pcg64"
@@ -115,14 +111,10 @@ def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup | None
     """Simulate the (shared) trajectory for one trial index."""
     setup = setup or scenario_models(cfg)
     rng = np.random.default_rng(cfg.seed + trial)
-    traj = simulate_trajectory(
+    return simulate_trajectory(
         setup.truth, setup.process_noise, setup.measurement_noise,
         setup.init_mean, setup.init_cov, cfg.horizon, rng,
     )
-    if log.isEnabledFor(logging.DEBUG):
-        digest = hashlib.sha256(np.ascontiguousarray(traj.states).tobytes()).hexdigest()[:16]
-        log.debug("trajectory %s trial=%d hash=%s", scenario_label(cfg), trial, digest)
-    return traj
 
 
 def run_trial(
@@ -235,62 +227,33 @@ def run_monte_carlo(
 # Sweeps and ablation
 
 
-@dataclass
-class SweepTable:
-    """One report per mismatch level, same filters throughout."""
-
-    model: str
-    kind: str
-    levels: tuple[float, ...]
-    filter_ids: tuple[str, ...]
-    reports: dict[float, BenchmarkReport]
-
-
 def sweep_mismatch(
     base: ScenarioConfig,
     kind: str,
     levels: tuple[float, ...],
     filter_ids: tuple[str, ...],
-) -> SweepTable:
-    """Run the same Monte Carlo at each mismatch level of one kind.
+) -> list[BenchmarkReport]:
+    """Run the same Monte Carlo at each mismatch level of one kind, in level order.
 
-    Level 0 reproduces the nominal scenario (shared base seed).  Off-grid
-    levels raise UnknownLevel via the scenario config validation; a filter
-    diverging never aborts the sweep, the cell just reports its divergences.
+    Level 0 reproduces the nominal scenario (shared base seed).  An off-grid
+    level raises UnknownLevel before any level runs; a filter diverging never
+    aborts the sweep, the cell just reports its divergences.
     """
-    reports: dict[float, BenchmarkReport] = {}
-    for level in levels:
-        cfg = replace(base, mismatch_kind=kind, mismatch_level=float(level))
-        reports[float(level)] = run_monte_carlo(cfg, filter_ids)
-    return SweepTable(base.model, kind, tuple(float(lv) for lv in levels),
-                      tuple(filter_ids), reports)
+    cfgs = [replace(base, mismatch_kind=kind, mismatch_level=float(level)) for level in levels]
+    return [run_monte_carlo(cfg, filter_ids) for cfg in cfgs]
 
 
 ABLATION_VARIANTS = ("nano-nopd", "nano-ekf", "nano")
 
 
-@dataclass
-class AblationTable:
-    """Update-variant comparison across benchmark models."""
+def ablate(models: tuple[str, ...] = MODEL_IDS, **fields) -> list[BenchmarkReport]:
+    """Compare the natural-gradient update variants on each benchmark model.
 
-    models: tuple[str, ...]
-    variants: tuple[str, ...]
-    reports: dict[str, BenchmarkReport]   # model id -> report over the variants
-
-
-def ablate(
-    models: tuple[str, ...] = ("fm", "attitude", "duffing"),
-    trials: int = 100,
-    horizon: int = 200,
-    seed: int = 0,
-    mm: str = "cubature",
-) -> AblationTable:
-    """Compare the natural-gradient update variants on each benchmark model."""
-    reports = {}
-    for model in models:
-        cfg = ScenarioConfig(model=model, trials=trials, horizon=horizon, seed=seed, mm=mm)
-        reports[model] = run_monte_carlo(cfg, ABLATION_VARIANTS)
-    return AblationTable(tuple(models), ABLATION_VARIANTS, reports)
+    ``fields`` are further :class:`ScenarioConfig` fields shared by every model.
+    Every model's config is validated before the first one runs.
+    """
+    cfgs = [ScenarioConfig(model=m, **fields) for m in models]
+    return [run_monte_carlo(cfg, ABLATION_VARIANTS) for cfg in cfgs]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +334,7 @@ def parse_trials_csv(path) -> dict[str, list[TrialResult]]:
     return out
 
 
-def emit_sweep(table: SweepTable, out_dir) -> list[Path]:
+def emit_sweep(reports: list[BenchmarkReport], out_dir) -> list[Path]:
     """Write ``sweep.csv`` with one row per (level, filter)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,14 +345,14 @@ def emit_sweep(table: SweepTable, out_dir) -> list[Path]:
             ["model", "mismatch_kind", "level", "filter", "trials",
              "divergences", "mean_rmse", "median_rmse", "q1_rmse", "q3_rmse"]
         )
-        for level in table.levels:
-            report = table.reports[level]
+        for report in reports:
+            cfg = report.scenario
             for st in report.summary():
                 writer.writerow(
                     [
-                        table.model,
-                        table.kind,
-                        _fmt_float(level),
+                        cfg.model,
+                        cfg.mismatch_kind,
+                        _fmt_float(cfg.mismatch_level),
                         st.filter_id,
                         st.trials,
                         st.divergences,
@@ -402,7 +365,7 @@ def emit_sweep(table: SweepTable, out_dir) -> list[Path]:
     return [path]
 
 
-def emit_ablation(table: AblationTable, out_dir) -> list[Path]:
+def emit_ablation(reports: list[BenchmarkReport], out_dir) -> list[Path]:
     """Write ``ablation.csv`` plus a human-readable ``ablation.txt`` grid."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -410,22 +373,20 @@ def emit_ablation(table: AblationTable, out_dir) -> list[Path]:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "filter", "trials", "divergences", "label", "mean_rmse"])
-        for model in table.models:
-            for st in table.reports[model].summary():
+        for report in reports:
+            for st in report.summary():
                 writer.writerow(
-                    [model, st.filter_id, st.trials, st.divergences, st.label,
+                    [report.scenario.model, st.filter_id, st.trials, st.divergences, st.label,
                      f"{st.mean_rmse:.6g}"]
                 )
 
-    width = max(len(v) for v in table.variants) + 2
+    width = max(len(v) for v in ABLATION_VARIANTS) + 2
     lines = ["RMSE (mean over non-diverged trials; 'diverge' = majority failed)"]
-    header = "model".ljust(10) + "".join(v.rjust(width) for v in table.variants)
-    lines.append(header)
-    for model in table.models:
-        stats = {st.filter_id: st for st in table.reports[model].summary()}
+    lines.append("model".ljust(10) + "".join(v.rjust(width) for v in ABLATION_VARIANTS))
+    for report in reports:
         lines.append(
-            model.ljust(10)
-            + "".join(stats[v].label.rjust(width) for v in table.variants)
+            report.scenario.model.ljust(10)
+            + "".join(report.stats(v).label.rjust(width) for v in ABLATION_VARIANTS)
         )
     txt_path = out / "ablation.txt"
     txt_path.write_text("\n".join(lines) + "\n")

@@ -7,9 +7,10 @@ Subcommands::
     ablate update-variant comparison on all benchmarks -> ablation.csv/.txt
     list   registered models, filters, sigma-point rules
 
-Settings resolve as: built-in defaults < config file (``--config``) < explicit
-command-line flags.  The config file is plain ``key = value`` text with
-optional ``[section]`` headers acting as dotted-key prefixes, e.g.::
+Settings resolve as: the :class:`ScenarioConfig` defaults < config file
+(``--config``) < explicit command-line flags.  The config file is plain
+``key = value`` text with optional ``[section]`` headers acting as dotted-key
+prefixes, e.g.::
 
     model = duffing
     filter = nano,ekf
@@ -34,25 +35,26 @@ from .bench import (
     run_monte_carlo,
     sweep_mismatch,
 )
-from .errors import EstimationError, ModelNotLinear, UnknownLevel, UnknownScenario
+from .errors import EstimationError
 from .filters import FILTER_IDS
-from .scenarios import MISMATCH_KINDS, MODEL_IDS, OUTLIER_GRID, SYSTEM_ERROR_GRID, ScenarioConfig
+from .scenarios import MISMATCH_KINDS, MODEL_IDS, ScenarioConfig, mismatch_grid
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad config file or flag combination; reported with exit code 2."""
 
 
-# Recognized config keys and their value parsers.
-_KEY_TYPES = {
-    "model": str,
-    "mismatch.kind": str,
-    "mismatch.level": float,
-    "horizon": int,
-    "trials": int,
-    "seed": int,
-    "mm": str,
-    "filter": str,
+# Recognized config keys: value parser and the command-line flag that sets it.
+# A scenario key names its ScenarioConfig field with "." for "_".
+_KEYS = {
+    "model": (str, "model"),
+    "mismatch.kind": (str, "mismatch"),
+    "mismatch.level": (float, "level"),
+    "horizon": (int, "horizon"),
+    "trials": (int, "trials"),
+    "seed": (int, "seed"),
+    "mm": (str, "mm"),
+    "filter": (str, "filter"),
 }
 
 
@@ -76,42 +78,38 @@ def parse_config_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         full = f"{prefix}.{key}" if prefix else key
-        if full not in _KEY_TYPES:
+        if full not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {full!r}")
         try:
-            settings[full] = _KEY_TYPES[full](value.strip())
+            settings[full] = _KEYS[full][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {full!r}: {exc}") from exc
     return settings
 
 
-def _merge_settings(args, keys: dict) -> dict:
+def _merge_settings(args) -> dict:
     """Config-file settings overridden by explicitly given CLI flags."""
     settings = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, attr in keys.items():
+    for key, (_, attr) in _KEYS.items():
         value = getattr(args, attr, None)
         if value is not None:
             settings[key] = value
     return settings
 
 
+def _scenario_fields(settings: dict) -> dict:
+    """ScenarioConfig keyword arguments for the scenario keys that are set."""
+    return {key.replace(".", "_"): value for key, value in settings.items() if key != "filter"}
+
+
 def _scenario_from(settings: dict) -> ScenarioConfig:
-    model = settings.get("model")
-    if model is None:
+    if "model" not in settings:
         raise ConfigError("a model is required (--model or config file)")
-    return ScenarioConfig(
-        model=model,
-        mismatch_kind=settings.get("mismatch.kind", "none"),
-        mismatch_level=settings.get("mismatch.level", 0.0),
-        horizon=settings.get("horizon", 200),
-        trials=settings.get("trials", 100),
-        seed=settings.get("seed", 0),
-        mm=settings.get("mm", "cubature"),
-    )
+    return ScenarioConfig(**_scenario_fields(settings))
 
 
-def _filters_from(settings: dict, default: str = "nano") -> tuple[str, ...]:
-    names = tuple(f.strip() for f in settings.get("filter", default).split(",") if f.strip())
+def _filters_from(settings: dict) -> tuple[str, ...]:
+    names = tuple(f.strip() for f in settings.get("filter", "nano").split(",") if f.strip())
     if not names:
         raise ConfigError("empty filter list")
     for name in names:
@@ -120,20 +118,8 @@ def _filters_from(settings: dict, default: str = "nano") -> tuple[str, ...]:
     return names
 
 
-_RUN_KEYS = {
-    "model": "model",
-    "mismatch.kind": "mismatch",
-    "mismatch.level": "level",
-    "horizon": "horizon",
-    "trials": "trials",
-    "seed": "seed",
-    "mm": "mm",
-    "filter": "filter",
-}
-
-
 def _cmd_run(args) -> int:
-    settings = _merge_settings(args, _RUN_KEYS)
+    settings = _merge_settings(args)
     cfg = _scenario_from(settings)
     filters = _filters_from(settings)
     report = run_monte_carlo(cfg, filters)
@@ -148,7 +134,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    settings = _merge_settings(args, _RUN_KEYS)
+    settings = _merge_settings(args)
     settings.pop("mismatch.level", None)   # levels come from --levels / the grid
     kind = settings.pop("mismatch.kind", None)
     if kind is None:
@@ -156,28 +142,23 @@ def _cmd_sweep(args) -> int:
     if kind not in ("system", "outlier"):
         raise ConfigError(f"sweep mismatch kind must be 'system' or 'outlier', got {kind!r}")
     cfg = _scenario_from(settings)
-    grid = SYSTEM_ERROR_GRID[cfg.model] if kind == "system" else OUTLIER_GRID[cfg.model]
     if args.levels is not None:
         try:
             levels = tuple(float(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --levels: {exc}") from exc
     else:
-        levels = grid
-    table = sweep_mismatch(cfg, kind, levels, _filters_from(settings))
-    for path in emit_sweep(table, args.out):
+        levels = mismatch_grid(cfg.model, kind)
+    reports = sweep_mismatch(cfg, kind, levels, _filters_from(settings))
+    for path in emit_sweep(reports, args.out):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    for model in models:
-        if model not in MODEL_IDS:
-            raise ConfigError(f"unknown model {model!r}; expected one of {MODEL_IDS}")
-    table = ablate(models=models, trials=args.trials, horizon=args.horizon,
-                   seed=args.seed, mm=args.mm)
-    paths = emit_ablation(table, args.out)
+    reports = ablate(models, **_scenario_fields(_merge_settings(args)))
+    paths = emit_ablation(reports, args.out)
     for path in paths:
         print(f"wrote {path}")
     print(paths[1].read_text(), end="")
@@ -196,15 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, with_mismatch=True):
+    def add_common(p):
         p.add_argument("--model", choices=MODEL_IDS)
         p.add_argument("--filter", help="comma-separated filter ids")
         p.add_argument("--trials", type=int)
         p.add_argument("--horizon", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--mm", help="cubature | unscented | gh:<p>")
-        if with_mismatch:
-            p.add_argument("--mismatch", choices=MISMATCH_KINDS)
+        p.add_argument("--mismatch", choices=MISMATCH_KINDS)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", default="bench_out", help="output directory")
 
@@ -223,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="compare natural-gradient update variants")
     p_ablate.add_argument("--models", default=",".join(MODEL_IDS))
-    p_ablate.add_argument("--trials", type=int, default=100)
-    p_ablate.add_argument("--horizon", type=int, default=200)
-    p_ablate.add_argument("--seed", type=int, default=0)
-    p_ablate.add_argument("--mm", default="cubature")
+    p_ablate.add_argument("--trials", type=int)
+    p_ablate.add_argument("--horizon", type=int)
+    p_ablate.add_argument("--seed", type=int)
+    p_ablate.add_argument("--mm")
     p_ablate.add_argument("--out", default="bench_out")
     p_ablate.set_defaults(handler=_cmd_ablate)
 
@@ -246,13 +226,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ConfigError, ModelNotLinear, UnknownScenario, UnknownLevel, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EstimationError as exc:
+    except (OSError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """Exception hierarchy for the filtering library.
 
-Everything raised on purpose derives from :class:`EstimationError`, so callers
-(notably the benchmark driver) can distinguish "the estimator broke down" from
-programming errors.
+An estimator breaking down on its data raises an :class:`EstimationError`;
+the benchmark driver counts it as a divergence of that trial.  Asking for
+something that cannot run (a filter the model does not support, a scenario
+or level off the catalogue, unpaired sequences) is a usage error and raises a
+:class:`ValueError` subclass, which no trial absorbs.
 """
 
 
@@ -38,7 +40,7 @@ class PDFailure(EstimationError):
     """A measurement update produced a covariance that is not positive definite."""
 
 
-class MissingHessian(EstimationError):
+class MissingHessian(ValueError):
     """An exact-curvature update was requested for a model without second derivatives."""
 
 
@@ -46,17 +48,17 @@ class GimbalLock(EstimationError):
     """Euler-angle kinematics evaluated too close to a +/-90 degree pitch."""
 
 
-class ModelNotLinear(EstimationError):
+class ModelNotLinear(ValueError):
     """A linear-only filter was asked to run on a model without linear parts."""
 
 
-class UnknownScenario(EstimationError):
+class UnknownScenario(ValueError):
     """An unrecognized benchmark model or mismatch kind was requested."""
 
 
-class UnknownLevel(EstimationError):
+class UnknownLevel(ValueError):
     """A mismatch level outside the scenario's published grid was requested."""
 
 
-class LengthMismatch(EstimationError):
+class LengthMismatch(ValueError):
     """Paired sequences (truth vs. estimates) differ in length or width."""

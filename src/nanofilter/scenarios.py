@@ -75,12 +75,17 @@ class ScenarioConfig:
         parse_rule(self.mm)
 
 
+def mismatch_grid(model: str, kind: str) -> tuple[float, ...]:
+    """The published levels of a ``system`` or ``outlier`` mismatch for one model."""
+    return (SYSTEM_ERROR_GRID if kind == "system" else OUTLIER_GRID)[model]
+
+
 def _check_level(model: str, kind: str, level: float) -> None:
     if kind == "none":
         if level != 0.0:
             raise UnknownLevel("mismatch level must be 0 when mismatch kind is 'none'")
         return
-    grid = SYSTEM_ERROR_GRID[model] if kind == "system" else OUTLIER_GRID[model]
+    grid = mismatch_grid(model, kind)
     if not any(np.isclose(level, lv, rtol=0.0, atol=1e-12) for lv in grid):
         raise UnknownLevel(
             f"level {level} not in the {kind} grid for {model!r}: {grid}"

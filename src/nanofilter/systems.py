@@ -11,8 +11,10 @@ Each factory returns a fully wired :class:`~nanofilter.models.StateSpaceModel`:
 * :func:`duffing_model` -- explicit-Euler discretized Duffing oscillator with
   a cubic position measurement.
 
-The factories take the physical parameters as arguments so the scenario layer
-can hand the filter a deliberately perturbed copy of the truth.
+Each factory takes the one physical parameter that its scenario's ``system``
+mismatch perturbs (fm: bandwidth beta, attitude: step size dt, duffing:
+natural frequency), so the scenario layer can hand the filter a deliberately
+perturbed copy of the truth; every other parameter is a module constant.
 """
 
 from __future__ import annotations
@@ -190,19 +192,14 @@ def _rate_matrix_grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d_pitch, d_roll
 
 
-def attitude_model(
-    dt: float = 0.01,
-    gravity: np.ndarray = GRAVITY_VECTOR,
-    magnetic: np.ndarray = MAGNETIC_VECTOR,
-) -> StateSpaceModel:
+def attitude_model(dt: float = 0.01) -> StateSpaceModel:
     """Euler-angle attitude kinematics; state (pitch, roll, yaw) in radians.
 
     The measurement stacks the gravity and magnetic reference vectors rotated
     into the body frame: g(x) = [C(x)^T grav; C(x)^T mag].  The rate input is
     a slow sinusoid shared by all three body axes.
     """
-    gravity = np.asarray(gravity, dtype=float)
-    magnetic = np.asarray(magnetic, dtype=float)
+    gravity, magnetic = GRAVITY_VECTOR, MAGNETIC_VECTOR
 
     def g(x):
         body = _body_rotation(x).swapaxes(-1, -2)
@@ -265,20 +262,21 @@ def attitude_model(
 # ---------------------------------------------------------------------------
 # Duffing oscillator
 
+DUFFING_DT = 0.01
+DUFFING_DAMPING = 0.05
+DUFFING_STIFFNESS = 1.0
+DUFFING_FORCING = 0.2
+DUFFING_FORCING_FREQ = 1.2
 
-def duffing_model(
-    dt: float = 0.01,
-    damping: float = 0.05,
-    natural_freq: float = 1.0,
-    stiffness: float = 1.0,
-    forcing: float = 0.2,
-    forcing_freq: float = 1.2,
-) -> StateSpaceModel:
+
+def duffing_model(natural_freq: float = 1.0) -> StateSpaceModel:
     """Forced Duffing oscillator, explicit Euler; state (position, velocity).
 
     The measurement is the cubed position, so likelihood curvature flips sign
     with the residual -- the stock example of an indefinite exact Hessian.
     """
+    dt, damping, stiffness = DUFFING_DT, DUFFING_DAMPING, DUFFING_STIFFNESS
+    forcing, forcing_freq = DUFFING_FORCING, DUFFING_FORCING_FREQ
 
     def f(x, u, t):
         pos, vel = _component(x, 0), _component(x, 1)

@@ -1,5 +1,7 @@
 """Benchmark harness: RMSE oracle, paired trials, aggregates, CSV round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from nanofilter.bench import (
     scenario_label,
     sweep_mismatch,
 )
-from nanofilter.errors import LengthMismatch, ModelNotLinear
+from nanofilter.errors import (
+    LengthMismatch,
+    MissingHessian,
+    ModelNotLinear,
+    UnknownLevel,
+    UnknownScenario,
+)
 from nanofilter.quadrature import parse_rule
 from nanofilter.scenarios import ScenarioConfig, scenario_models
 
@@ -223,6 +231,22 @@ def test_kf_requires_linear_model():
         run_monte_carlo(cfg, ("kf",))
 
 
+@pytest.mark.parametrize("filter_id, error", [
+    ("kf", ModelNotLinear),
+    ("nano-nopd", MissingHessian),
+    ("nano-ekf", MissingHessian),
+])
+def test_usage_error_is_not_a_divergence(filter_id, error):
+    # a filter the model cannot run is the caller's mistake: it must reach the
+    # caller instead of being counted as a trial that diverged at step 0
+    cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
+    setup = scenario_models(cfg)
+    setup = replace(setup, filter_view=replace(setup.filter_view, hess_g=None))
+    traj = make_trajectory(cfg, 0, setup)
+    with pytest.raises(error):
+        run_filter(setup, filter_id, traj, parse_rule("cubature"))
+
+
 # ---------------------------------------------------------------------------
 # worker configuration
 
@@ -253,13 +277,12 @@ def test_threaded_matches_serial(monkeypatch):
 
 def test_sweep_level_zero_matches_nominal():
     base = ScenarioConfig(model="duffing", trials=4, horizon=20, seed=11)
-    table = sweep_mismatch(base, "system", (0.0, 0.1), ("ekf",))
+    swept, off = sweep_mismatch(base, "system", (0.0, 0.1), ("ekf",))
+    assert [r.scenario.mismatch_level for r in (swept, off)] == [0.0, 0.1]
     nominal = run_monte_carlo(base, ("ekf",))
-    swept = table.reports[0.0]
     for got, want in zip(swept.results["ekf"], nominal.results["ekf"]):
         assert got.rmse == want.rmse and got.diverged == want.diverged
     # nonzero level changes the filter's model, so results differ
-    off = table.reports[0.1]
     assert any(
         a.rmse != b.rmse for a, b in zip(off.results["ekf"], nominal.results["ekf"])
     )
@@ -267,19 +290,36 @@ def test_sweep_level_zero_matches_nominal():
 
 def test_sweep_divergence_never_aborts():
     base = ScenarioConfig(model="duffing", trials=2, horizon=40, seed=0)
-    table = sweep_mismatch(base, "outlier", (0.0, 0.05), ("nano-nopd", "nano"))
-    assert set(table.reports) == {0.0, 0.05}
-    for level in table.levels:
-        st = table.reports[level].stats("nano-nopd")
+    reports = sweep_mismatch(base, "outlier", (0.0, 0.05), ("nano-nopd", "nano"))
+    assert [r.scenario.mismatch_level for r in reports] == [0.0, 0.05]
+    for report in reports:
+        assert report.scenario.mismatch_kind == "outlier"
+        st = report.stats("nano-nopd")
         assert st.divergences == 2  # every trial fails, sweep still completes
-        assert table.reports[level].stats("nano").divergences == 0
+        assert report.stats("nano").divergences == 0
+
+
+@pytest.mark.parametrize("run, error", [
+    (lambda: sweep_mismatch(ScenarioConfig(model="duffing", trials=2, horizon=5),
+                            "outlier", (0.0, 0.17), ("ekf",)), UnknownLevel),
+    (lambda: ablate(models=("duffing", "nosuch"), trials=2, horizon=5), UnknownScenario),
+], ids=["sweep-off-grid-level", "ablate-unknown-model"])
+def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error):
+    import nanofilter.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "make_trajectory", lambda *a, **k: calls.append(a))
+    with pytest.raises(error):
+        run()
+    assert calls == []
 
 
 def test_ablate_structure(tmp_path):
-    table = ablate(models=("duffing",), trials=2, horizon=12, seed=0)
-    assert table.variants == ("nano-nopd", "nano-ekf", "nano")
-    assert set(table.reports) == {"duffing"}
-    paths = emit_ablation(table, tmp_path)
+    reports = ablate(models=("duffing",), trials=2, horizon=12, seed=0)
+    (report,) = reports
+    assert report.filter_ids == ("nano-nopd", "nano-ekf", "nano")
+    assert report.scenario == ScenarioConfig(model="duffing", trials=2, horizon=12, seed=0)
+    paths = emit_ablation(reports, tmp_path)
     assert [p.name for p in paths] == ["ablation.csv", "ablation.txt"]
     text = (tmp_path / "ablation.txt").read_text()
     assert "duffing" in text and "nano-nopd" in text
@@ -355,8 +395,8 @@ def test_emit_empty_filter_list(tmp_path):
 
 def test_emit_sweep_table(tmp_path):
     base = ScenarioConfig(model="fm", trials=2, horizon=10, seed=1)
-    table = sweep_mismatch(base, "outlier", (0.0, 0.04), ("ekf", "nano"))
-    (path,) = emit_sweep(table, tmp_path)
+    reports = sweep_mismatch(base, "outlier", (0.0, 0.04), ("ekf", "nano"))
+    (path,) = emit_sweep(reports, tmp_path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2  # header + levels x filters
     assert lines[1].startswith("fm,outlier,0.0,ekf,2,")
