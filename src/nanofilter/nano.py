@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
 from .filters import GaussianBelief, UpdateDiagnostics, ekf_update
-from .linalg import cholesky_factor, spd_inverse, symmetrize
+from .linalg import chol_solve, cholesky_factor, qr_upper, spd_inverse, symmetrize, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
@@ -128,7 +127,7 @@ def _expected_derivatives(
         for i, p in enumerate(pts):
             h[i] += np.tensordot(model.R_inv @ resid[i], model.hess_g(p), axes=1)
     v_xx = (w[:, None, None] * h).sum(axis=0)
-    if not (np.all(np.isfinite(v_x)) and np.all(np.isfinite(v_xx))):
+    if not (np.isfinite(v_x).all() and np.isfinite(v_xx).all()):
         raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")
     return v_x, symmetrize(v_xx)
 
@@ -158,11 +157,11 @@ def chol_cov_step(
         raise SingularFactor("factor diagonal fell below tolerance")
     n = factor.shape[0]
     target = symmetrize(v_xx + prior_inv) - factor @ factor.T
-    inner = solve_triangular(factor, target, lower=True, check_finite=False)
-    exponent = 0.5 * solve_triangular(factor, inner.T, lower=True, check_finite=False).T
+    inner = tril_solve(factor, target)
+    exponent = 0.5 * tril_solve(factor, inner.T).T
     moved = factor @ (np.eye(n) + exponent)
     stacked = np.vstack([moved.T, np.sqrt(epsilon) * np.eye(n)])
-    upper = np.linalg.qr(stacked, mode="r")
+    upper = qr_upper(stacked)
     signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
     return (signs[:, None] * upper).T
 
@@ -184,9 +183,7 @@ def _sigma_root(cov: np.ndarray, inv_factor: np.ndarray | None) -> np.ndarray:
     except NotPositiveDefinite:
         if inv_factor is None:
             raise
-        return solve_triangular(
-            inv_factor, np.eye(inv_factor.shape[0]), lower=True, trans="T", check_finite=False
-        )
+        return tril_solve(inv_factor, np.eye(inv_factor.shape[0]), trans=True)
 
 
 def nano_update(
@@ -239,10 +236,10 @@ def nano_update(
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
                 inv_factor = cholesky_factor(symmetrize(prior_inv + v_xx))
-            cov_next = symmetrize(cho_solve((inv_factor, True), np.eye(n), check_finite=False))
+            cov_next = symmetrize(chol_solve(inv_factor, np.eye(n)))
 
             mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior.mean))
-            if not (np.all(np.isfinite(mean_next)) and np.all(np.isfinite(cov_next))):
+            if not (np.isfinite(mean_next).all() and np.isfinite(cov_next).all()):
                 raise NonFiniteIterate("optimizer iterate left finite floats")
 
             delta = float(np.linalg.norm(cov_next - cov))

@@ -178,7 +178,7 @@ def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndar
             f"function mapped {len(points)} stacked points to shape {vals.shape}; "
             "it must accept (..., n) stacks and return (..., k)"
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFiniteFunctionValue("function returned NaN/Inf at a sigma point")
     return vals
 

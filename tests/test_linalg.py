@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nanofilter.errors import NotPositiveDefinite
-from nanofilter.linalg import cholesky_factor, spd_inverse, spd_solve, symmetrize
+import nanofilter
+from nanofilter.errors import EstimationError, NotPositiveDefinite, SingularFactor
+from nanofilter.linalg import cholesky_factor, qr_upper, spd_inverse, spd_solve, symmetrize, tril_solve
 
 
 def test_cholesky_factor_known_values():
@@ -33,10 +37,18 @@ def test_cholesky_factor_accepts_ill_conditioned_pd():
     np.testing.assert_allclose(factor @ factor.T, a)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_cholesky_factor_rejects_non_finite(bad):
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        pytest.param(bad, where, id=f"{name}{suffix}")
+        for name, bad in (("nan", np.nan), ("inf", np.inf))
+        for where, suffix in (((1, 1), ""), ((0, 1), "-upper"), ((1, 0), "-lower"))
+    ],
+)
+def test_cholesky_factor_rejects_non_finite(bad, where):
+    # dpotrf alone accepts a NaN below the diagonal with info 0.
     a = np.eye(2)
-    a[1, 1] = bad
+    a[where] = bad
     with pytest.raises(NotPositiveDefinite):
         cholesky_factor(a)
 
@@ -70,3 +82,80 @@ def test_spd_inverse_roundtrip():
 def test_symmetrize():
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
     np.testing.assert_allclose(symmetrize(a), np.array([[1.0, 1.0], [1.0, 3.0]]))
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_tril_solve_matches_dense_solve(trans):
+    rng = np.random.default_rng(5)
+    factor = np.tril(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)
+    b = rng.standard_normal((4, 3))
+    lhs = factor.T if trans else factor
+    np.testing.assert_allclose(tril_solve(factor, b, trans=trans), np.linalg.solve(lhs, b), rtol=1e-12)
+
+
+def test_tril_solve_rejects_singular_triangle():
+    # A raw dtrtrs returns info > 0 and B unsolved; run_filter counts an
+    # EstimationError as a divergence.
+    factor = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(SingularFactor):
+        tril_solve(factor, np.eye(2))
+    assert issubclass(SingularFactor, EstimationError)
+
+
+def test_qr_upper_is_the_r_factor():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 3))
+    upper = qr_upper(a)
+    assert np.array_equal(np.triu(upper), upper)
+    np.testing.assert_allclose(upper.T @ upper, a.T @ a, rtol=1e-12, atol=1e-12)
+
+
+# Factorizations and solves belong to linalg.py alone.  quadrature's
+# eigh_tridiagonal, which builds the cached Gauss-Hermite nodes once per
+# order, is the one exemption.
+SCIPY_EXEMPT = {"eigh_tridiagonal"}
+NUMPY_FACTORIZATIONS = {"cholesky", "qr", "solve", "inv"}
+
+
+def _factorizations_outside_linalg(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.startswith("scipy.linalg")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                path = f"{node.module}.{alias.name}"
+                if path.startswith("scipy.linalg") and alias.name not in SCIPY_EXEMPT:
+                    found.append(path)
+                elif node.module == "numpy.linalg" and alias.name in NUMPY_FACTORIZATIONS:
+                    found.append(path)
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_FACTORIZATIONS:
+            if ast.unparse(node.value) in ("np.linalg", "numpy.linalg"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_factorization_finder_sees_each_form():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy.linalg import cho_solve, eigh_tridiagonal\n"
+        "from scipy import linalg\n"
+        "from numpy.linalg import inv, norm\n"
+        "x = np.linalg.qr(a, mode='r')\n"
+        "y = np.linalg.norm(a)\n"
+    )
+    assert _factorizations_outside_linalg(ast.parse(source)) == [
+        "scipy.linalg", "scipy.linalg.cho_solve", "scipy.linalg", "numpy.linalg.inv", "np.linalg.qr",
+    ]
+
+
+def test_one_linalg_layer():
+    package = Path(nanofilter.__file__).parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "linalg.py")
+    assert modules
+    found = {
+        str(p.relative_to(package)): uses
+        for p in modules
+        if (uses := _factorizations_outside_linalg(ast.parse(p.read_text(), filename=str(p))))
+    }
+    assert found == {}
