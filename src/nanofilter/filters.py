@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
-from .linalg import spd_solve, symmetrize
+from .linalg import chol_solve, spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
 
@@ -176,7 +176,7 @@ def mm_predict(
     """Moment-matched prediction through the dynamics, plus process noise."""
     cset = generate_points(rule, belief.mean, belief.cov)
     mean, spread_cov = propagate_moments(cset, lambda x: model.f(x, u, t))
-    cov = symmetrize(spread_cov + model.Q)
+    cov = spread_cov + model.Q
     return GaussianBelief(mean, cov)
 
 
@@ -187,7 +187,7 @@ def ukf_update(
     y = np.asarray(y, dtype=float)
     cset = generate_points(rule, prior.mean, prior.cov)
     ybar, spread, cross = propagate_with_cross(cset, model.g)
-    S = symmetrize(spread + model.R)
+    S = spread + model.R
     gain = spd_solve(S, cross.T).T
     mean = prior.mean + gain @ (y - ybar)
     cov = symmetrize(prior.cov - gain @ S @ gain.T)
@@ -218,7 +218,7 @@ def plf_update(
     for iterations in range(1, max_iters + 1):
         cset = generate_points(rule, xi, Pi)
         ybar, spread, cross = propagate_with_cross(cset, model.g)
-        A = spd_solve(Pi, cross).T                  # cross^T Pi^{-1}
+        A = chol_solve(cset.spread, cross).T        # cross^T Pi^{-1}; spread is chol(Pi)
         b = ybar - A @ xi
         omega = symmetrize(spread - A @ Pi @ A.T)
         S = symmetrize(A @ P0 @ A.T + model.R + omega)

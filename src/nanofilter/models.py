@@ -134,7 +134,8 @@ class NoiseSpec:
     ``beta-replacement`` (with prob. ``prob`` the whole noise vector is one
     Beta(a, b) draw replicated across components, else Gaussian).
     The per-draw RNG consumption is fixed per kind so that trials with equal
-    seeds consume the stream identically.
+    seeds consume the stream identically; an all-zero covariance has an
+    all-zero ``chol`` and still draws.
     """
 
     kind: str
@@ -147,16 +148,17 @@ class NoiseSpec:
     beta_b: float = 0.0
 
 
-def _chol_or_none(cov: Array) -> Array | None:
+def _noise_root(cov: Array) -> Array:
+    """Cholesky factor of a noise covariance; an all-zero covariance has a zero root."""
     cov = np.asarray(cov, dtype=float)
     if not cov.any():
-        return None
+        return np.zeros_like(cov)
     return cholesky_factor(cov)
 
 
 def gaussian_noise(cov: Array) -> NoiseSpec:
     cov = np.asarray(cov, dtype=float)
-    return NoiseSpec(kind="gaussian", dim=cov.shape[0], chol=_chol_or_none(cov))
+    return NoiseSpec(kind="gaussian", dim=cov.shape[0], chol=_noise_root(cov))
 
 
 def laplace_noise(scale: Array) -> NoiseSpec:
@@ -175,8 +177,8 @@ def mixture_outlier_noise(prob: float, nominal_cov: Array, outlier_cov: Array) -
     return NoiseSpec(
         kind="gaussian-mixture",
         dim=nominal_cov.shape[0],
-        chol=_chol_or_none(nominal_cov),
-        outlier_chol=_chol_or_none(outlier_cov),
+        chol=_noise_root(nominal_cov),
+        outlier_chol=_noise_root(outlier_cov),
         prob=prob,
     )
 
@@ -191,7 +193,7 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
     return NoiseSpec(
         kind="beta-replacement",
         dim=nominal_cov.shape[0],
-        chol=_chol_or_none(nominal_cov),
+        chol=_noise_root(nominal_cov),
         prob=prob,
         beta_a=a,
         beta_b=b,
@@ -200,24 +202,19 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
 
 def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> Array:
     """Draw one noise vector.  Consumes the stream deterministically per kind."""
-    # chol=None encodes an exactly-zero covariance; the standard-normal draw
-    # still happens so the stream position does not depend on the covariance.
     if spec.kind == "gaussian":
-        z = rng.standard_normal(spec.dim)
-        return np.zeros(spec.dim) if spec.chol is None else spec.chol @ z
+        return spec.chol @ rng.standard_normal(spec.dim)
     if spec.kind == "laplace":
         return rng.laplace(0.0, spec.scale)
     if spec.kind == "gaussian-mixture":
         u = rng.random()
         z = rng.standard_normal(spec.dim)
-        chol = spec.outlier_chol if u < spec.prob else spec.chol
-        return np.zeros(spec.dim) if chol is None else chol @ z
+        return (spec.outlier_chol if u < spec.prob else spec.chol) @ z
     if spec.kind == "beta-replacement":
         u = rng.random()
         if u < spec.prob:
             return np.full(spec.dim, rng.beta(spec.beta_a, spec.beta_b))
-        z = rng.standard_normal(spec.dim)
-        return np.zeros(spec.dim) if spec.chol is None else spec.chol @ z
+        return spec.chol @ rng.standard_normal(spec.dim)
     raise ValueError(f"unknown noise kind {spec.kind!r}")
 
 
@@ -249,9 +246,7 @@ def simulate_trajectory(
     measurement noise -- so a seed pins the whole trajectory.
     """
     init_mean = np.asarray(init_mean, dtype=float)
-    init_chol = _chol_or_none(init_cov)
-    z = rng.standard_normal(model.n)
-    x = init_mean.copy() if init_chol is None else init_mean + init_chol @ z
+    x = init_mean + _noise_root(init_cov) @ rng.standard_normal(model.n)
 
     states = np.empty((steps + 1, model.n))
     states[0] = x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
-from .filters import GaussianBelief, UpdateDiagnostics, ekf_update
+from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update
 from .linalg import chol_solve, cholesky_factor, qr_upper, spd_inverse, symmetrize, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
@@ -47,8 +47,8 @@ class NanoConfig:
     ``filter_step(nano_cfg=...)``.
     """
 
-    gamma: float = 1e-6
-    max_iters: int = 10
+    gamma: float = ITER_GAMMA
+    max_iters: int = ITER_MAX
     hessian: str = "gauss-newton"
     cov_update: str = "direct"
     epsilon: float = 1e-9
@@ -152,11 +152,15 @@ def chol_cov_step(
     reconstruction but never forms the Gram product -- so its
     smallest pivot stays >= sqrt(epsilon) even when the iterate is so
     ill-conditioned that the explicit product would round to indefinite.
+
+    ``v_xx`` and ``prior_inv`` must each be exactly symmetric (as the outputs
+    of :func:`~nanofilter.linalg.symmetrize` are); their sum then is too, so
+    it is not symmetrized again.
     """
     if float(np.min(np.diag(factor))) < FACTOR_DIAG_TOL:
         raise SingularFactor("factor diagonal fell below tolerance")
     n = factor.shape[0]
-    target = symmetrize(v_xx + prior_inv) - factor @ factor.T
+    target = v_xx + prior_inv - factor @ factor.T
     inner = tril_solve(factor, target)
     exponent = 0.5 * tril_solve(factor, inner.T).T
     moved = factor @ (np.eye(n) + exponent)
@@ -235,7 +239,7 @@ def nano_update(
                 inv_factor = chol_cov_step(inv_factor, v_xx, prior_inv, cfg.epsilon)
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
-                inv_factor = cholesky_factor(symmetrize(prior_inv + v_xx))
+                inv_factor = cholesky_factor(prior_inv + v_xx)
             cov_next = symmetrize(chol_solve(inv_factor, np.eye(n)))
 
             mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior.mean))

@@ -5,16 +5,22 @@ into weighted points; :func:`generate_points` instantiates it for a concrete
 moment pair, and the ``propagate_*`` helpers compute the moment-matching
 integrals every sigma-point filter is built from.
 
-Supported rules:
+Every rule is a unit rule ``U`` -- points for N(0, I) plus mean and
+covariance weights -- built once per ``(rule, n)`` and cached.  For N(mu, P)
+with square root ``S`` (``S S^T = P``, the Cholesky factor by default) the
+points are the one affine map ``mu + U S^T``.  The cached grid and weight
+arrays are shared by every set built from them and are read-only.
+
+Supported rules (``e_i`` the unit vectors):
 
 ``cubature``
-    Spherical-radial degree-3 rule, 2n points ``mu +/- sqrt(n) * L e_i``,
-    uniform weights ``1/(2n)``.
+    Spherical-radial degree-3 rule, 2n points ``+/- sqrt(n) e_i``, uniform
+    weights ``1/(2n)``.
 ``unscented``
     Unscented transform, 2n+1 points, with the fixed parameters alpha = 1,
-    beta = 2, kappa = 3 - n: points ``mu`` and ``mu +/- sqrt(3) * L e_i``,
-    mean weights ``(3 - n)/3`` at the centre and ``1/6`` elsewhere, and
-    ``2`` added to the centre covariance weight.
+    beta = 2, kappa = 3 - n: the origin and ``+/- sqrt(3) e_i``, mean weights
+    ``(3 - n)/3`` at the centre and ``1/6`` elsewhere, and ``2`` added to the
+    centre covariance weight.
 ``gauss-hermite``
     Tensor product of the p-point probabilists' Gauss-Hermite rule, ``p**n``
     points; exact for 1-D polynomials up to degree ``2p - 1``.
@@ -80,8 +86,11 @@ def parse_rule(text: str) -> SigmaPointRule:
 class CollocationSet:
     """Weighted points representing one Gaussian.
 
-    ``mean_weights`` are used for means / generic expectations, ``cov_weights``
-    for (co)variances; they differ only for the unscented rule's center point.
+    ``points`` is ``center + U @ spread.T`` for the rule's cached unit grid
+    ``U``.  ``mean_weights`` are used for means / generic expectations,
+    ``cov_weights`` for (co)variances; they differ only for the unscented
+    rule's center point.  Both weight arrays are the rule's cached ones,
+    shared between sets and read-only.
     """
 
     points: np.ndarray        # (N, n)
@@ -106,17 +115,36 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _hermite_grid(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tensor-product grid ``(order**n, n)`` and its weights, read-only.
+def _unit_rule(rule: SigmaPointRule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit grid ``(N, n)`` of ``rule`` for N(0, I), with its mean and covariance weights.
 
-    Depends only on ``(order, n)``, so each pair is built once per process.
+    Depends only on ``(rule, n)``, so each pair is built once per process; the
+    three arrays are read-only.
     """
-    nodes, weights = _hermite_nodes(order)
-    grid = np.array(list(itertools.product(nodes, repeat=n)))
-    w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
-    grid.flags.writeable = False
-    w.flags.writeable = False
-    return grid, w
+    if rule.kind == "cubature":
+        axes = np.sqrt(n) * np.eye(n)
+        grid = np.vstack([axes, -axes])
+        wm = wc = np.full(2 * n, 1.0 / (2 * n))
+    elif rule.kind == "unscented":
+        # alpha = 1, kappa = 3 - n: lambda = 3 - n and n + lambda = 3 exactly
+        axes = np.sqrt(3.0) * np.eye(n)
+        grid = np.vstack([np.zeros((1, n)), axes, -axes])
+        wm = np.full(2 * n + 1, 1.0 / 6.0)
+        wm[0] = (3.0 - n) / 3.0
+        wc = wm.copy()
+        wc[0] += 2.0  # 1 - alpha^2 + beta with beta = 2
+    else:
+        if rule.order ** n > GH_MAX_POINTS:
+            raise ValueError(
+                f"gauss-hermite tensor product would need {rule.order}**{n} points "
+                f"(cap {GH_MAX_POINTS})"
+            )
+        nodes, weights = _hermite_nodes(rule.order)
+        grid = np.array(list(itertools.product(nodes, repeat=n)))
+        wm = wc = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
+    for a in (grid, wm, wc):
+        a.flags.writeable = False
+    return grid, wm, wc
 
 
 def generate_points(
@@ -131,39 +159,9 @@ def generate_points(
     with ``S @ S.T == cov``); by default the lower Cholesky factor is taken.
     """
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = mean.shape[0]
-    if spread is None:
-        spread = cholesky_factor(cov)
-    else:
-        spread = np.asarray(spread, dtype=float)
-
-    if rule.kind == "cubature":
-        # mu +/- sqrt(n) * (i-th column of L); rows of L.T are columns of L
-        offsets = np.sqrt(n) * spread.T
-        points = np.vstack([mean + offsets, mean - offsets])
-        w = np.full(2 * n, 1.0 / (2 * n))
-        return CollocationSet(points, w, w.copy(), mean, spread)
-
-    if rule.kind == "unscented":
-        # alpha = 1, kappa = 3 - n: lambda = 3 - n and n + lambda = 3 exactly
-        offsets = np.sqrt(3.0) * spread.T
-        points = np.vstack([mean[None, :], mean + offsets, mean - offsets])
-        wm = np.full(2 * n + 1, 1.0 / 6.0)
-        wm[0] = (3.0 - n) / 3.0
-        wc = wm.copy()
-        wc[0] += 2.0  # 1 - alpha^2 + beta with beta = 2
-        return CollocationSet(points, wm, wc, mean, spread)
-
-    # gauss-hermite tensor product
-    if rule.order ** n > GH_MAX_POINTS:
-        raise ValueError(
-            f"gauss-hermite tensor product would need {rule.order}**{n} points "
-            f"(cap {GH_MAX_POINTS})"
-        )
-    grid, w = _hermite_grid(rule.order, n)
-    points = mean + grid @ spread.T
-    return CollocationSet(points, w, w.copy(), mean, spread)
+    spread = cholesky_factor(cov) if spread is None else np.asarray(spread, dtype=float)
+    grid, wm, wc = _unit_rule(rule, mean.shape[0])
+    return CollocationSet(mean + grid @ spread.T, wm, wc, mean, spread)
 
 
 def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:

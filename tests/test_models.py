@@ -72,6 +72,16 @@ def test_gaussian_noise_moments():
     np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.05)
 
 
+def test_zero_gaussian_noise_keeps_the_stream():
+    # a zero covariance samples zeros but still consumes its standard-normal
+    # draw, so the stream stays where a nonzero spec would leave it
+    zero, nonzero = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        assert np.array_equal(sample_noise(gaussian_noise(np.zeros((2, 2))), zero), np.zeros(2))
+        sample_noise(gaussian_noise(np.array([[2.0, 0.5], [0.5, 1.0]])), nonzero)
+    assert zero.bit_generator.state == nonzero.bit_generator.state
+
+
 def test_laplace_noise_variance():
     # Laplace(b) has variance 2 b^2
     b = 1e-2

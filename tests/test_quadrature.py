@@ -8,8 +8,8 @@ from nanofilter.quadrature import (
     GH_MAX_POINTS,
     SigmaPointRule,
     _apply,
-    _hermite_grid,
     _hermite_nodes,
+    _unit_rule,
     generate_points,
     parse_rule,
     propagate_moments,
@@ -160,20 +160,39 @@ def test_apply_rejects_a_per_point_function(count):
         _apply(lambda x: np.array([x[0] ** 3]), points)
 
 
-@pytest.mark.parametrize("order, n", [(2, 1), (3, 2), (3, 3), (5, 2)])
-def test_cached_hermite_grid_matches_a_fresh_build(order, n):
-    nodes, weights = _hermite_nodes(order)
-    fresh_grid = np.array(list(itertools.product(nodes, repeat=n)))
-    fresh_w = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
-    grid, w = _hermite_grid(order, n)
-    assert grid is _hermite_grid(order, n)[0]
-    assert np.array_equal(grid, fresh_grid) and np.array_equal(w, fresh_w)
-    assert not grid.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0, 0] = 1.0
-    rng = np.random.default_rng(order * 10 + n)
+def _fresh_unit_rule(rule, n):
+    """The unit rule's grid and weights, written out from the rule's definition."""
+    if rule.kind == "cubature":
+        grid = np.vstack([np.sqrt(n) * np.eye(n), -np.sqrt(n) * np.eye(n)])
+        wm = np.full(2 * n, 1 / (2 * n))
+        return grid, wm, wm
+    if rule.kind == "unscented":
+        grid = np.vstack([np.zeros((1, n)), np.sqrt(3.0) * np.eye(n), -np.sqrt(3.0) * np.eye(n)])
+        wm = np.array([(3 - n) / 3] + [1 / 6] * (2 * n))
+        return grid, wm, wm + np.eye(1, 2 * n + 1)[0] * 2.0
+    nodes, weights = _hermite_nodes(rule.order)
+    grid = np.array(list(itertools.product(nodes, repeat=n)))
+    wm = np.prod(np.array(list(itertools.product(weights, repeat=n))), axis=1)
+    return grid, wm, wm
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [(kind, n) for kind in ("cubature", "unscented", "gh:3") for n in (1, 2, 3)]
+    + [("gh:2", 1), ("gh:5", 2)],
+)
+def test_cached_unit_rule_matches_a_fresh_build(text, n):
+    rule = parse_rule(text)
+    cached = _unit_rule(rule, n)
+    assert _unit_rule(rule, n) is cached
+    for got, want in zip(cached, _fresh_unit_rule(rule, n)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    rng = np.random.default_rng(n * 10 + len(text))
     mean = rng.standard_normal(n)
     s = rng.standard_normal((n, n))
-    cset = generate_points(SigmaPointRule("gauss-hermite", order), mean, s @ s.T + np.eye(n))
-    assert np.array_equal(cset.points, mean + fresh_grid @ cset.spread.T)
-    assert np.array_equal(cset.mean_weights, fresh_w)
+    cset = generate_points(rule, mean, s @ s.T + np.eye(n))
+    assert np.array_equal(cset.points, mean + cached[0] @ cset.spread.T)
+    assert cset.mean_weights is cached[1] and cset.cov_weights is cached[2]
