@@ -122,10 +122,17 @@ def run_trial(
     filter_id: str,
     trial: int,
     setup: ScenarioSetup | None = None,
+    *,
+    traj: Trajectory | None = None,
 ) -> TrialResult:
-    """Simulate trial ``trial`` and run one filter over it."""
+    """Run one filter over trial ``trial``'s trajectory.
+
+    ``traj`` is that trajectory when the caller has already simulated it;
+    otherwise it is simulated here.
+    """
     setup = setup or scenario_models(cfg)
-    traj = make_trajectory(cfg, trial, setup)
+    if traj is None:
+        traj = make_trajectory(cfg, trial, setup)
     run = run_filter(setup, filter_id, traj, parse_rule(cfg.mm))
     err = None if run.diverged else rmse(traj.states[1:], run.means)
     times = [d.update_ms for d in run.diagnostics]
@@ -209,13 +216,15 @@ def run_monte_carlo(
     if "kf" in filter_ids and setup.filter_view.linear is None:
         raise ModelNotLinear(f"model {cfg.model!r} has no exact linear parts; 'kf' cannot run")
 
+    # Every filter replays the same trajectories, so each is simulated once.
+    trajs = [make_trajectory(cfg, trial, setup) for trial in range(cfg.trials)] if filter_ids else []
     jobs = [(fid, trial) for fid in filter_ids for trial in range(cfg.trials)]
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: run_trial(cfg, *job, setup), jobs))
+            outcomes = list(pool.map(lambda job: run_trial(cfg, *job, setup, traj=trajs[job[1]]), jobs))
     else:
-        outcomes = [run_trial(cfg, fid, trial, setup) for fid, trial in jobs]
+        outcomes = [run_trial(cfg, fid, trial, setup, traj=trajs[trial]) for fid, trial in jobs]
 
     results: dict[str, list[TrialResult]] = {fid: [] for fid in filter_ids}
     for (fid, _), res in zip(jobs, outcomes):

@@ -10,12 +10,12 @@ this module hosts the baselines and the dispatcher.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
-from .linalg import chol_solve, spd_solve, symmetrize
+from .linalg import chol_solve, identity, spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
 
@@ -86,7 +86,7 @@ def _linear_update(prior: GaussianBelief, H: np.ndarray, R: np.ndarray,
     S = symmetrize(H @ P @ H.T + R)
     gain = spd_solve(S, H @ P).T
     mean = prior.mean + gain @ innovation
-    closure = np.eye(P.shape[0]) - gain @ H
+    closure = identity(P.shape[0]) - gain @ H
     cov = symmetrize(closure @ P @ closure.T + gain @ R @ gain.T)
     return GaussianBelief(mean, cov)
 
@@ -157,7 +157,7 @@ def iekf_update(
         xi = x_next
         if delta < ITER_GAMMA:
             break
-    closure = np.eye(P.shape[0]) - gain @ G
+    closure = identity(P.shape[0]) - gain @ G
     cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
     return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
 
@@ -274,7 +274,7 @@ def filter_step(
     except PDFailure:
         post, diag = prior, PD_FAILED
     elapsed = time.perf_counter() - start
-    return post, replace(diag, update_ms=elapsed * 1e3)
+    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.pd_failure, elapsed * 1e3)
 
 
 def _update(filter_id: str, prior: GaussianBelief, y, model: StateSpaceModel,

@@ -1,9 +1,20 @@
 """Dense symmetric/SPD matrix primitives shared by every filter.
 
 Every factorization and solve in the package goes through this module, which
-calls LAPACK through ``scipy.linalg.lapack`` directly: on the 2x2-6x6
-matrices of a filter step the numpy/scipy convenience wrappers cost several
-times the arithmetic.  The LAPACK ``info`` of every call is checked:
+calls LAPACK directly: on the 2x2-6x6 matrices of a filter step the
+numpy/scipy convenience wrappers cost several times the arithmetic.
+
+The routines are the ones ``scipy.linalg.lapack`` re-exports, taken from
+scipy's compiled ``scipy/linalg/_flapack`` extension, which is loaded from its
+file.  ``importlib.util.find_spec`` locates scipy without running its package
+init, so importing this module never executes ``scipy/linalg/__init__.py``:
+that init imports ``scipy._lib._array_api``, which pulls in ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma`` (none of which this package uses) and more
+than doubles the import time of :mod:`nanofilter.bench`.  If the extension
+file is missing or fails to load, the module falls back to
+``scipy.linalg.lapack``, which exposes the same compiled functions.
+
+The LAPACK ``info`` of every call is checked:
 
 * ``dpotrf`` (:func:`cholesky_factor`) with ``info > 0`` raises
   :class:`~nanofilter.errors.NotPositiveDefinite`, so loss of positive
@@ -11,16 +22,49 @@ times the arithmetic.  The LAPACK ``info`` of every call is checked:
   error in some random call site;
 * ``dtrtrs`` (:func:`tril_solve`) with ``info > 0`` raises
   :class:`~nanofilter.errors.SingularFactor`;
-* ``info < 0`` from ``dpotrf``, ``dpotrs``, ``dtrtrs`` or ``dgeqrf`` means
-  an illegal argument and raises ``ValueError``.
+* ``dstevd`` (:func:`tridiagonal_eigh`) with ``info > 0`` raises
+  ``numpy.linalg.LinAlgError`` (no convergence);
+* ``info < 0`` from any routine means an illegal argument and raises
+  ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
+
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs, dtrtrs
 
 from .errors import NotPositiveDefinite, SingularFactor
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without importing ``scipy.linalg``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    name = "scipy.linalg._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError("scipy/linalg/_flapack extension not found")
+
+
+try:
+    _flapack = _load_flapack()
+except ImportError:
+    from scipy.linalg import lapack as _flapack
+
+dgeqrf, dpotrf, dpotrs, dstevd, dtrtrs = (
+    _flapack.dgeqrf, _flapack.dpotrf, _flapack.dpotrs, _flapack.dstevd, _flapack.dtrtrs
+)
 
 # Relative tolerance for the symmetry pre-check in cholesky_factor.
 SYMMETRY_RTOL = 1e-10
@@ -29,6 +73,18 @@ SYMMETRY_RTOL = 1e-10
 def _check_info(routine: str, info: int) -> None:
     if info < 0:
         raise ValueError(f"{routine}: argument {-info} has an illegal value")
+
+
+@functools.lru_cache(maxsize=32)
+def identity(n: int) -> np.ndarray:
+    """The ``n x n`` identity, built once per ``n`` and read-only.
+
+    ``dpotrs`` and ``dtrtrs`` copy their right-hand side (``overwrite_b=0``),
+    so it can be passed to :func:`chol_solve` and :func:`tril_solve`.
+    """
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -56,13 +112,16 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # dpotrf reads one triangle and returns info 0 with a NaN factor for a NaN
-    # below the diagonal, so finiteness cannot be left to it.
-    if not np.isfinite(a).all():
-        raise NotPositiveDefinite("matrix has a non-finite entry")
-    # The scale of A is only needed once the absolute test has failed.
-    asym = np.abs(a - a.T).max(initial=0.0)
-    if asym > SYMMETRY_RTOL and asym > SYMMETRY_RTOL * np.abs(a).max():
-        raise ValueError("matrix is not symmetric")
+    # below the diagonal, so finiteness cannot be left to it.  A bitwise
+    # symmetric matrix with a finite sum passes both checks below; that test
+    # is cheaper than either, and every other input gets the full diagnosis.
+    if not (a.tobytes() == a.T.tobytes() and math.isfinite(a.sum())):
+        if not np.isfinite(a).all():
+            raise NotPositiveDefinite("matrix has a non-finite entry")
+        # The scale of A is only needed once the absolute test has failed.
+        asym = np.abs(a - a.T).max(initial=0.0)
+        if asym > SYMMETRY_RTOL and asym > SYMMETRY_RTOL * np.abs(a).max():
+            raise ValueError("matrix is not symmetric")
     factor, info = dpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed: leading minor {info} is not positive")
@@ -110,4 +169,17 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, symmetrized."""
     factor = cholesky_factor(a)
-    return symmetrize(chol_solve(factor, np.eye(factor.shape[0])))
+    return symmetrize(chol_solve(factor, identity(factor.shape[0])))
+
+
+def tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of a symmetric tridiagonal matrix.
+
+    ``d`` is the diagonal and ``e`` the off-diagonal.  Raises
+    ``numpy.linalg.LinAlgError`` if ``dstevd`` does not converge.
+    """
+    vals, vecs, info = dstevd(d, e, compute_v=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstevd: {info} off-diagonal elements did not converge")
+    _check_info("dstevd", info)
+    return vals, vecs

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
 from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update
-from .linalg import chol_solve, cholesky_factor, qr_upper, spd_inverse, symmetrize, tril_solve
+from .linalg import chol_solve, cholesky_factor, identity, qr_upper, spd_inverse, symmetrize, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
@@ -163,8 +163,8 @@ def chol_cov_step(
     target = v_xx + prior_inv - factor @ factor.T
     inner = tril_solve(factor, target)
     exponent = 0.5 * tril_solve(factor, inner.T).T
-    moved = factor @ (np.eye(n) + exponent)
-    stacked = np.vstack([moved.T, np.sqrt(epsilon) * np.eye(n)])
+    moved = factor @ (identity(n) + exponent)
+    stacked = np.vstack([moved.T, np.sqrt(epsilon) * identity(n)])
     upper = qr_upper(stacked)
     signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
     return (signs[:, None] * upper).T
@@ -187,7 +187,7 @@ def _sigma_root(cov: np.ndarray, inv_factor: np.ndarray | None) -> np.ndarray:
     except NotPositiveDefinite:
         if inv_factor is None:
             raise
-        return tril_solve(inv_factor, np.eye(inv_factor.shape[0]), trans=True)
+        return tril_solve(inv_factor, identity(inv_factor.shape[0]), trans=True)
 
 
 def nano_update(
@@ -240,7 +240,7 @@ def nano_update(
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
                 inv_factor = cholesky_factor(prior_inv + v_xx)
-            cov_next = symmetrize(chol_solve(inv_factor, np.eye(n)))
+            cov_next = symmetrize(chol_solve(inv_factor, identity(n)))
 
             mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior.mean))
             if not (np.isfinite(mean_next).all() and np.isfinite(cov_next).all()):

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonFiniteFunctionValue
-from .linalg import cholesky_factor, symmetrize
+from .linalg import cholesky_factor, symmetrize, tridiagonal_eigh
 
 GH_MIN_ORDER = 2
 GH_MAX_ORDER = 10
@@ -109,7 +108,7 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvector components (total mass 1).
     """
     off = np.sqrt(np.arange(1, order, dtype=float))
-    nodes, vecs = eigh_tridiagonal(np.zeros(order), off)
+    nodes, vecs = tridiagonal_eigh(np.zeros(order), off)
     weights = vecs[0] ** 2
     return nodes, weights
 

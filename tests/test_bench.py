@@ -209,6 +209,26 @@ def test_run_monte_carlo_shapes_and_order():
     assert all(not r.diverged for r in rep.results["nano"][:6])
 
 
+def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
+    from nanofilter import bench
+
+    simulate, calls = bench.make_trajectory, []
+
+    def counted(cfg, trial, setup=None):
+        calls.append(trial)
+        return simulate(cfg, trial, setup)
+
+    monkeypatch.setattr(bench, "make_trajectory", counted)
+    cfg = ScenarioConfig(model="duffing", trials=3, horizon=10, seed=0)
+    rep = run_monte_carlo(cfg, ("ekf", "ukf"))
+    assert calls == [0, 1, 2]
+    # The shared trajectories give what a trial simulated on its own gives.
+    for fid in ("ekf", "ukf"):
+        for trial, row in enumerate(rep.results[fid]):
+            alone = run_trial(cfg, fid, trial)
+            assert (row.rmse, row.diverged, row.steps) == (alone.rmse, alone.diverged, alone.steps)
+
+
 def test_run_monte_carlo_rejects_unknown_filter():
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
     with pytest.raises(ValueError, match="unknown filter"):

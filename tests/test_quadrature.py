@@ -196,3 +196,14 @@ def test_cached_unit_rule_matches_a_fresh_build(text, n):
     cset = generate_points(rule, mean, s @ s.T + np.eye(n))
     assert np.array_equal(cset.points, mean + cached[0] @ cset.spread.T)
     assert cset.mean_weights is cached[1] and cset.cov_weights is cached[2]
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_hermite_nodes_match_scipys_eigh_tridiagonal(order):
+    from scipy.linalg import eigh_tridiagonal
+
+    off = np.sqrt(np.arange(1, order, dtype=float))
+    want_nodes, vecs = eigh_tridiagonal(np.zeros(order), off, lapack_driver="stevd")
+    nodes, weights = _hermite_nodes(order)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == (vecs[0] ** 2).tobytes()
