@@ -2,8 +2,8 @@
 
 All filters share :class:`GaussianBelief`, and every measurement update
 returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
-predict + one measurement update and stamps the update's wall-clock time onto
-its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
+predict + one measurement update and stamps the update's CPU time onto its
+diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
 this module hosts the baselines and the dispatcher.
 """
 
@@ -249,7 +249,9 @@ def filter_step(
     """One predict + update step of the named filter.
 
     Returns the posterior belief and the update's diagnostics.  ``update_ms``
-    times the measurement update only (prediction excluded).  A
+    is the calling thread's CPU time in the measurement update only
+    (prediction excluded), so waits for the GIL inside a thread pool and
+    preemption by other processes are not counted.  A
     positive-definiteness failure inside a natural-gradient update is reported
     via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
     A measurement with a NaN or Inf entry raises :class:`NonFiniteMeasurement`
@@ -268,12 +270,12 @@ def filter_step(
     else:
         prior = mm_predict(belief, u, model, rule, t)
 
-    start = time.perf_counter()
+    start = time.thread_time()
     try:
         post, diag = _update(filter_id, prior, y, model, rule, nano_cfg)
     except PDFailure:
         post, diag = prior, PD_FAILED
-    elapsed = time.perf_counter() - start
+    elapsed = time.thread_time() - start
     return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.pd_failure, elapsed * 1e3)
 
 
