@@ -121,18 +121,11 @@ def run_trial(
     cfg: ScenarioConfig,
     filter_id: str,
     trial: int,
+    traj: Trajectory,
     setup: ScenarioSetup | None = None,
-    *,
-    traj: Trajectory | None = None,
 ) -> TrialResult:
-    """Run one filter over trial ``trial``'s trajectory.
-
-    ``traj`` is that trajectory when the caller has already simulated it;
-    otherwise it is simulated here.
-    """
+    """Run one filter over ``traj``, the trajectory of trial ``trial``."""
     setup = setup or scenario_models(cfg)
-    if traj is None:
-        traj = make_trajectory(cfg, trial, setup)
     run = run_filter(setup, filter_id, traj, parse_rule(cfg.mm))
     err = None if run.diverged else rmse(traj.states[1:], run.means)
     times = [d.update_ms for d in run.diagnostics]
@@ -216,19 +209,20 @@ def run_monte_carlo(
     if "kf" in filter_ids and setup.filter_view.linear is None:
         raise ModelNotLinear(f"model {cfg.model!r} has no exact linear parts; 'kf' cannot run")
 
-    # Every filter replays the same trajectories, so each is simulated once.
-    trajs = [make_trajectory(cfg, trial, setup) for trial in range(cfg.trials)] if filter_ids else []
-    jobs = [(fid, trial) for fid in filter_ids for trial in range(cfg.trials)]
+    def run_every_filter(trial: int) -> list[TrialResult]:
+        # Every filter replays the same trajectory, so it is simulated once.
+        traj = make_trajectory(cfg, trial, setup)
+        return [run_trial(cfg, fid, trial, traj, setup) for fid in filter_ids]
+
+    trials = range(cfg.trials) if filter_ids else range(0)
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: run_trial(cfg, *job, setup, traj=trajs[job[1]]), jobs))
+            rows = list(pool.map(run_every_filter, trials))
     else:
-        outcomes = [run_trial(cfg, fid, trial, setup, traj=trajs[trial]) for fid, trial in jobs]
+        rows = [run_every_filter(trial) for trial in trials]
 
-    results: dict[str, list[TrialResult]] = {fid: [] for fid in filter_ids}
-    for (fid, _), res in zip(jobs, outcomes):
-        results[fid].append(res)
+    results = {fid: [row[k] for row in rows] for k, fid in enumerate(filter_ids)}
     return BenchmarkReport(scenario=cfg, filter_ids=tuple(filter_ids), results=results)
 
 

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--level", type=float, help="mismatch level from the model's grid")
     p_run.add_argument("--timing", action="store_true",
-                       help="include per-update CPU times in the outputs "
+                       help="include wall-clock update times in the outputs "
                             "(disabled by default so outputs are reproducible)")
     p_run.set_defaults(handler=_cmd_run)
 

@@ -2,8 +2,8 @@
 
 All filters share :class:`GaussianBelief`, and every measurement update
 returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
-predict + one measurement update and stamps the update's CPU time onto its
-diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
+predict + one measurement update and stamps the update's wall-clock time onto
+its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
 this module hosts the baselines and the dispatcher.
 """
 
@@ -249,9 +249,7 @@ def filter_step(
     """One predict + update step of the named filter.
 
     Returns the posterior belief and the update's diagnostics.  ``update_ms``
-    is the calling thread's CPU time in the measurement update only
-    (prediction excluded), so waits for the GIL inside a thread pool and
-    preemption by other processes are not counted.  A
+    times the measurement update only (prediction excluded).  A
     positive-definiteness failure inside a natural-gradient update is reported
     via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
     A measurement with a NaN or Inf entry raises :class:`NonFiniteMeasurement`
@@ -270,12 +268,12 @@ def filter_step(
     else:
         prior = mm_predict(belief, u, model, rule, t)
 
-    start = time.thread_time()
+    start = time.perf_counter()
     try:
         post, diag = _update(filter_id, prior, y, model, rule, nano_cfg)
     except PDFailure:
         post, diag = prior, PD_FAILED
-    elapsed = time.thread_time() - start
+    elapsed = time.perf_counter() - start
     return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.pd_failure, elapsed * 1e3)
 
 

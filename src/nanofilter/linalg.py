@@ -12,7 +12,14 @@ that init imports ``scipy._lib._array_api``, which pulls in ``numpy.f2py``,
 ``numpy.testing`` and ``numpy.ma`` (none of which this package uses) and more
 than doubles the import time of :mod:`nanofilter.bench`.  If the extension
 file is missing or fails to load, the module falls back to
-``scipy.linalg.lapack``, which exposes the same compiled functions.
+``scipy.linalg.lapack``, which exposes the same compiled functions.  Loading
+the file alone is not enough where scipy's own init must run first: the
+Windows wheels are repaired with delvewheel, whose patch to
+``scipy/__init__.py`` adds the bundled ``scipy.libs`` directory to the DLL
+search path, and without it ``_flapack`` cannot find its OpenBLAS.  A scipy
+frozen into an application bundle has no ``scipy/linalg/_flapack`` file at
+all.  On Linux and macOS wheels the extension finds its libraries through its
+own run path, so the direct load is the one taken.
 
 The LAPACK ``info`` of every call is checked:
 

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines stream.
 Criteria 4 and 5 share one cached Monte Carlo sweep (100 trials x 200 steps,
 seed 0, cubature rule, paired trajectories), so the file takes a few minutes
-end to end; everything is deterministic apart from the update timings.
+end to end; everything is deterministic apart from wall-clock timings.
 """
 
 import math

@@ -87,8 +87,8 @@ def test_trial_seed_offsets_by_index():
 @pytest.mark.parametrize("filter_id", ["ekf", "ukf", "nano"])
 def test_run_trial_deterministic(filter_id):
     cfg = ScenarioConfig(model="duffing", trials=2, horizon=20, seed=1)
-    a = run_trial(cfg, filter_id, 0)
-    b = run_trial(cfg, filter_id, 0)
+    a = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0))
+    b = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0))
     assert a.trial == b.trial == 0
     assert a.diverged == b.diverged
     assert a.steps == b.steps
@@ -111,7 +111,7 @@ def test_run_filter_completes_horizon():
 def test_diverged_trial_truncates():
     # exact-Hessian update meets indefinite curvature on this trajectory
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    res = run_trial(cfg, "nano-nopd", 0)
+    res = run_trial(cfg, "nano-nopd", 0, make_trajectory(cfg, 0))
     assert res.diverged
     assert res.rmse is None
     assert 0 < res.steps < 40
@@ -119,7 +119,7 @@ def test_diverged_trial_truncates():
 
 def test_trial_times_failed_attempt():
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    res = run_trial(cfg, "nano-nopd", 1)  # fails on the very first update
+    res = run_trial(cfg, "nano-nopd", 1, make_trajectory(cfg, 1))  # fails on the very first update
     assert res.diverged and res.steps == 0
     assert res.update_ms is not None and res.update_ms > 0.0  # attempt still timed
 
@@ -221,11 +221,11 @@ def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
     monkeypatch.setattr(bench, "make_trajectory", counted)
     cfg = ScenarioConfig(model="duffing", trials=3, horizon=10, seed=0)
     rep = run_monte_carlo(cfg, ("ekf", "ukf"))
-    assert calls == [0, 1, 2]
+    assert sorted(calls) == [0, 1, 2]
     # The shared trajectories give what a trial simulated on its own gives.
     for fid in ("ekf", "ukf"):
         for trial, row in enumerate(rep.results[fid]):
-            alone = run_trial(cfg, fid, trial)
+            alone = run_trial(cfg, fid, trial, simulate(cfg, trial))
             assert (row.rmse, row.diverged, row.steps) == (alone.rmse, alone.diverged, alone.steps)
 
 
