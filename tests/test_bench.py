@@ -210,18 +210,26 @@ def test_run_monte_carlo_shapes_and_order():
 
 
 def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
+    # Serially, a trial's trajectory is simulated once and every filter runs
+    # on it before the next trial is simulated, so one trajectory is alive.
     from nanofilter import bench
 
-    simulate, calls = bench.make_trajectory, []
+    monkeypatch.setenv("NANO_BENCH_THREADS", "1")
+    simulate, run, events = bench.make_trajectory, bench.run_trial, []
 
-    def counted(cfg, trial, setup=None):
-        calls.append(trial)
+    def simulated(cfg, trial, setup=None):
+        events.append(("simulate", trial))
         return simulate(cfg, trial, setup)
 
-    monkeypatch.setattr(bench, "make_trajectory", counted)
+    def ran(cfg, fid, trial, *args):
+        events.append((fid, trial))
+        return run(cfg, fid, trial, *args)
+
+    monkeypatch.setattr(bench, "make_trajectory", simulated)
+    monkeypatch.setattr(bench, "run_trial", ran)
     cfg = ScenarioConfig(model="duffing", trials=3, horizon=10, seed=0)
     rep = run_monte_carlo(cfg, ("ekf", "ukf"))
-    assert sorted(calls) == [0, 1, 2]
+    assert events == [(name, trial) for trial in range(3) for name in ("simulate", "ekf", "ukf")]
     # The shared trajectories give what a trial simulated on its own gives.
     for fid in ("ekf", "ukf"):
         for trial, row in enumerate(rep.results[fid]):
