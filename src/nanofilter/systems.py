@@ -109,38 +109,39 @@ ATTITUDE_LAPLACE_SCALE = 1e-5
 _ROTATION_PLANE = ((1, 2), (2, 0), (0, 1))
 
 
-def _axis_rotation(axis: int, angle, deriv: int = 0) -> np.ndarray:
-    """Elementary rotation about the given axis, or its angle-derivative.
+def _euler_rotations(theta: np.ndarray, order: int = 0) -> list[list[np.ndarray]]:
+    """Rz(yaw), Ry(pitch), Rx(roll) and their angle-derivatives up to ``order``.
 
-    ``angle`` may be a scalar or an array; the result has shape
-    ``angle.shape + (3, 3)``.  Differentiating rotates the (cos, sin) pair and
-    kills the constant 1, so the same layout serves all derivative orders.
+    ``theta`` has shape (..., 3).  Returns ``[rz, ry, rx]``, where ``rz[k]``
+    is the ``k``-th derivative of Rz, of shape (..., 3, 3).  Each angle's
+    cos/sin is taken once: differentiating rotates the (cos, sin) pair and
+    kills the constant 1, so every order fills the same plane.
     """
-    c, s = np.cos(angle), np.sin(angle)
-    for _ in range(deriv):
-        c, s = -s, c
-    i, j = _ROTATION_PLANE[axis]
-    out = np.zeros(c.shape + (3, 3))
-    if deriv == 0:
-        out[..., axis, axis] = 1.0
-    out[..., i, i] = c
-    out[..., i, j] = -s
-    out[..., j, i] = s
-    out[..., j, j] = c
-    return out
+    rotations = []
+    # (axis, state index): yaw about z, pitch about y, roll about x.
+    for axis, index in ((2, 2), (1, 0), (0, 1)):
+        angle = _component(theta, index)
+        c, s = np.cos(angle), np.sin(angle)
+        i, j = _ROTATION_PLANE[axis]
+        derivs = []
+        for _ in range(order + 1):
+            minus_s = -s
+            out = np.zeros(c.shape + (3, 3))
+            out[..., i, i] = c
+            out[..., i, j] = minus_s
+            out[..., j, i] = s
+            out[..., j, j] = c
+            derivs.append(out)
+            c, s = minus_s, c
+        derivs[0][..., axis, axis] = 1.0
+        rotations.append(derivs)
+    return rotations
 
 
-def _body_rotation(theta: np.ndarray, d_pitch: int = 0, d_roll: int = 0, d_yaw: int = 0) -> np.ndarray:
-    """Rz(yaw) Ry(pitch) Rx(roll) with per-factor derivative orders.
-
-    ``theta`` has shape (..., 3); the result has shape (..., 3, 3).
-    """
-    pitch, roll, yaw = (_component(theta, i) for i in range(3))
-    return (
-        _axis_rotation(2, yaw, d_yaw)
-        @ _axis_rotation(1, pitch, d_pitch)
-        @ _axis_rotation(0, roll, d_roll)
-    )
+def _body_rotation(theta: np.ndarray) -> np.ndarray:
+    """Rz(yaw) Ry(pitch) Rx(roll); ``theta`` (..., 3) gives (..., 3, 3)."""
+    rz, ry, rx = _euler_rotations(theta)
+    return rz[0] @ ry[0] @ rx[0]
 
 
 def _rate_matrix(theta: np.ndarray) -> np.ndarray:
@@ -165,8 +166,8 @@ def _rate_matrix(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rate_matrix_grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of the rate matrix w.r.t. pitch and roll."""
+def _rate_matrix_grad(theta: np.ndarray) -> np.ndarray:
+    """Partial derivatives of the rate matrix w.r.t. pitch and roll, stacked (2, 3, 3)."""
     pitch, roll = theta[0], theta[1]
     cp = np.cos(pitch)
     if abs(cp) < GIMBAL_COS_TOL:
@@ -174,22 +175,21 @@ def _rate_matrix_grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sp = np.sin(pitch)
     sr, cr = np.sin(roll), np.cos(roll)
     sec2 = 1.0 / cp ** 2
-    d_pitch = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, sr * sec2, cr * sec2],
-            [0.0, sr * sp * sec2, cr * sp * sec2],
-        ]
-    )
     tp = sp / cp
-    d_roll = np.array(
+    return np.array(
         [
-            [0.0, -sr, -cr],
-            [0.0, cr * tp, -sr * tp],
-            [0.0, cr / cp, -sr / cp],
+            [
+                [0.0, 0.0, 0.0],
+                [0.0, sr * sec2, cr * sec2],
+                [0.0, sr * sp * sec2, cr * sp * sec2],
+            ],
+            [
+                [0.0, -sr, -cr],
+                [0.0, cr * tp, -sr * tp],
+                [0.0, cr / cp, -sr / cp],
+            ],
         ]
     )
-    return d_pitch, d_roll
 
 
 def attitude_model(dt: float = 0.01) -> StateSpaceModel:
@@ -208,22 +208,26 @@ def attitude_model(dt: float = 0.01) -> StateSpaceModel:
         out[..., 3:] = body @ magnetic
         return out
 
+    # Derivative orders (pitch, roll, yaw) index rz[yaw] @ ry[pitch] @ rx[roll].
     def jac_g(x):
+        rz, ry, rx = _euler_rotations(x, 1)
         out = np.empty(x.shape[:-1] + (6, 3))
-        for a, orders in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            d = _body_rotation(x, *orders).swapaxes(-1, -2)
+        for a, (p, r, w) in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            d = (rz[w] @ ry[p] @ rx[r]).swapaxes(-1, -2)
             out[..., :3, a] = d @ gravity
             out[..., 3:, a] = d @ magnetic
         return out
 
     def hess_g(x):
+        rz, ry, rx = _euler_rotations(x, 2)
         out = np.empty(x.shape[:-1] + (6, 3, 3))
         for a in range(3):
             for b in range(a, 3):
                 orders = [0, 0, 0]
                 orders[a] += 1
                 orders[b] += 1
-                d = _body_rotation(x, *orders).swapaxes(-1, -2)
+                p, r, w = orders
+                d = (rz[w] @ ry[p] @ rx[r]).swapaxes(-1, -2)
                 out[..., :3, a, b] = d @ gravity
                 out[..., 3:, a, b] = d @ magnetic
                 if b != a:
@@ -234,11 +238,11 @@ def attitude_model(dt: float = 0.01) -> StateSpaceModel:
         return x + dt * (_rate_matrix(x) @ u)
 
     def jac_f(x, u, t):
-        d_pitch, d_roll = _rate_matrix_grad(x)
-        jac = np.eye(3)
-        jac[:, 0] += dt * (d_pitch @ u)
-        jac[:, 1] += dt * (d_roll @ u)
-        return jac
+        # Column a is e_a + dt * (dR/da @ u) for pitch and roll; yaw is not in R.
+        # Adding the identity's 1.0s and 0.0s as floats keeps eye(3) + columns'
+        # bits, signed zeros included.
+        (p0, p1, p2), (r0, r1, r2) = (dt * (_rate_matrix_grad(x) @ u)).tolist()
+        return np.array([[1.0 + p0, 0.0 + r0, 0.0], [0.0 + p1, 1.0 + r1, 0.0], [0.0 + p2, 0.0 + r2, 1.0]])
 
     def control(t):
         return (np.pi / 18.0) * np.sin(2.0 * dt * np.pi * t) * np.ones(3)

@@ -126,6 +126,43 @@ def test_expected_derivatives_equal_a_per_point_loop(exact):
     assert np.array_equal(got_xx, symmetrize(v_xx))
 
 
+def _counting_hess_g(model):
+    """Wrap ``model.hess_g`` so each call records a copy of its argument."""
+    seen, inner = [], model.hess_g
+
+    def counted(x):
+        seen.append(np.array(x, copy=True))
+        return inner(x)
+
+    model.hess_g = counted
+    return seen
+
+
+def test_exact_expected_derivatives_call_hess_g_once_on_the_stack():
+    model = attitude_model()
+    seen = _counting_hess_g(model)
+    cset = generate_points(parse_rule("gh:3"), np.array([0.2, -0.1, 0.3]), 1e-3 * np.eye(3))
+    y = model.g(np.array([0.21, -0.1, 0.29]))
+    _expected_derivatives(cset, y, model, exact=True)
+    assert len(seen) == 1
+    assert seen[0].shape == cset.points.shape == (27, 3)
+    assert np.array_equal(seen[0], cset.points)
+    _expected_derivatives(cset, y, model, exact=False)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("rule, points", [("cubature", 4), ("gh:3", 9)])
+def test_exact_update_calls_hess_g_once_per_pass(rule, points):
+    model = duffing_model()
+    seen = _counting_hess_g(model)
+    prior = GaussianBelief(np.array([0.8, -0.2]), 0.05 * np.eye(2))
+    y = model.g(np.array([0.85, -0.2]))
+    _, diag = nano_update(prior, y, model, parse_rule(rule), NANO_PRESETS["nano-nopd"])
+    assert diag.iterations > 1
+    assert len(seen) == diag.iterations
+    assert all(x.shape == (points, 2) for x in seen)
+
+
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 

@@ -221,3 +221,119 @@ def test_duffing_powers_match_between_one_state_and_a_stack(name):
     fn = getattr(model, name)
     call = (lambda x: fn(x, None, 7)) if name == "f" else fn
     assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+
+
+# ---------------------------------------------------------------------------
+# Attitude rotations: one cos/sin per angle, the same bits as one rotation per
+# derivative order
+
+
+def _reference_axis_rotation(axis, angle, deriv):
+    """One elementary rotation or its angle-derivative, built on its own."""
+    c, s = np.cos(angle), np.sin(angle)
+    for _ in range(deriv):
+        c, s = -s, c
+    i, j = ((1, 2), (2, 0), (0, 1))[axis]
+    out = np.zeros(np.shape(c) + (3, 3))
+    if deriv == 0:
+        out[..., axis, axis] = 1.0
+    out[..., i, i] = c
+    out[..., i, j] = -s
+    out[..., j, i] = s
+    out[..., j, j] = c
+    return out
+
+
+def _reference_rotation(x, d_pitch=0, d_roll=0, d_yaw=0):
+    pitch, roll, yaw = (x[..., k][()] for k in range(3))
+    return (
+        _reference_axis_rotation(2, yaw, d_yaw)
+        @ _reference_axis_rotation(1, pitch, d_pitch)
+        @ _reference_axis_rotation(0, roll, d_roll)
+    ).swapaxes(-1, -2)
+
+
+def _reference_attitude(x):
+    """g, jac_g and hess_g from one rotation product per derivative order."""
+    vectors = (GRAVITY_VECTOR, MAGNETIC_VECTOR)
+    g = np.concatenate([_reference_rotation(x) @ v for v in vectors], axis=-1)
+    jac = np.empty(x.shape[:-1] + (6, 3))
+    hess = np.empty(x.shape[:-1] + (6, 3, 3))
+    for a in range(3):
+        orders = [0, 0, 0]
+        orders[a] = 1
+        d = _reference_rotation(x, *orders)
+        jac[..., :3, a], jac[..., 3:, a] = (d @ v for v in vectors)
+        for b in range(3):
+            orders = [0, 0, 0]
+            orders[a] += 1
+            orders[b] += 1
+            d = _reference_rotation(x, *orders)
+            hess[..., :3, a, b], hess[..., 3:, a, b] = (d @ v for v in vectors)
+    return g, jac, hess
+
+
+@pytest.mark.parametrize("shape", [(3,), (6, 3), (27, 3)])
+def test_attitude_derivatives_match_per_order_rotations(shape):
+    model = attitude_model()
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        x = rng.uniform(-1.4, 1.4, size=shape)
+        g, jac, hess = _reference_attitude(x)
+        assert np.array_equal(model.g(x), g)
+        assert np.array_equal(model.jac_g(x), jac)
+        assert np.array_equal(model.hess_g(x), hess)
+
+
+class _CountingNumpy:
+    """Stands in for ``numpy`` inside ``systems`` and counts chosen calls."""
+
+    def __init__(self, names):
+        self.calls = {name: 0 for name in names}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("shape", [(3,), (27, 3)])
+@pytest.mark.parametrize("name", ["g", "jac_g", "hess_g"])
+def test_attitude_measurement_takes_each_trig_once(monkeypatch, name, shape):
+    from nanofilter import systems
+
+    model = attitude_model()
+    counter = _CountingNumpy(("cos", "sin"))
+    monkeypatch.setattr(systems, "np", counter)
+    getattr(model, name)(np.full(shape, 0.3))
+    assert counter.calls == {"cos": 3, "sin": 3}
+
+
+def test_attitude_dynamics_jacobian_matches_identity_plus_columns(monkeypatch):
+    from nanofilter import systems
+
+    dt = 0.01
+    model = attitude_model(dt)
+    rng = np.random.default_rng(8)
+    for t in range(40):
+        x = rng.uniform(-1.4, 1.4, size=3)
+        u = model.control(t) if t % 2 else rng.uniform(-1.0, 1.0, size=3)
+        pitch, roll = x[0], x[1]
+        cp, sp, sr, cr = np.cos(pitch), np.sin(pitch), np.sin(roll), np.cos(roll)
+        sec2, tp = 1.0 / cp ** 2, sp / cp
+        d_pitch = np.array([[0.0, 0.0, 0.0], [0.0, sr * sec2, cr * sec2], [0.0, sr * sp * sec2, cr * sp * sec2]])
+        d_roll = np.array([[0.0, -sr, -cr], [0.0, cr * tp, -sr * tp], [0.0, cr / cp, -sr / cp]])
+        expected = np.eye(3)
+        expected[:, 0] += dt * (d_pitch @ u)
+        expected[:, 1] += dt * (d_roll @ u)
+        assert np.array_equal(model.jac_f(x, u, t), expected)
+    counter = _CountingNumpy(("eye",))
+    monkeypatch.setattr(systems, "np", counter)
+    model.jac_f(x, u, 0)
+    assert counter.calls == {"eye": 0}
