@@ -9,6 +9,7 @@ this module hosts the baselines and the dispatcher.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -146,19 +147,22 @@ def iekf_update(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
-    x0, P = prior.mean, prior.cov
+    x0, P, R = prior.mean, prior.cov, model.R
     xi = x0
     for iterations in range(1, max_iters + 1):
         G = model.jac_g(xi)
-        S = symmetrize(G @ P @ G.T + model.R)
-        gain = spd_solve(S, G @ P).T
+        GP = G @ P
+        S = GP @ G.T + R
+        S = 0.5 * (S + S.T)
+        gain = spd_solve(S, GP).T
         x_next = x0 + gain @ (y - model.g(xi) - G @ (x0 - xi))
-        delta = float(np.linalg.norm(x_next - xi))
+        step = x_next - xi
+        delta = math.sqrt(step.dot(step))
         xi = x_next
         if delta < ITER_GAMMA:
             break
     closure = identity(P.shape[0]) - gain @ G
-    cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
+    cov = symmetrize(closure @ P @ closure.T + gain @ R @ gain.T)
     return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
 
 
@@ -213,19 +217,23 @@ def plf_update(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
-    x0, P0 = prior.mean, prior.cov
+    x0, P0, R = prior.mean, prior.cov, model.R
     xi, Pi = x0, P0
     for iterations in range(1, max_iters + 1):
         cset = generate_points(rule, xi, Pi)
         ybar, spread, cross = propagate_with_cross(cset, model.g)
         A = chol_solve(cset.spread, cross).T        # cross^T Pi^{-1}; spread is chol(Pi)
         b = ybar - A @ xi
-        omega = symmetrize(spread - A @ Pi @ A.T)
-        S = symmetrize(A @ P0 @ A.T + model.R + omega)
-        gain = spd_solve(S, A @ P0).T
+        omega = spread - A @ Pi @ A.T
+        AP0 = A @ P0
+        S = AP0 @ A.T + R + 0.5 * (omega + omega.T)
+        S = 0.5 * (S + S.T)
+        gain = spd_solve(S, AP0).T
         x_next = x0 + gain @ (y - A @ x0 - b)
-        P_next = symmetrize(P0 - gain @ S @ gain.T)
-        delta = float(np.linalg.norm(x_next - xi))
+        P_next = P0 - gain @ S @ gain.T
+        P_next = 0.5 * (P_next + P_next.T)
+        step = x_next - xi
+        delta = math.sqrt(step.dot(step))
         xi, Pi = x_next, P_next
         if delta < ITER_GAMMA:
             break

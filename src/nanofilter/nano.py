@@ -18,6 +18,7 @@ definiteness unconditionally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +131,11 @@ def _expected_derivatives(
         for i in range(len(pts)):
             h[i] += np.tensordot(model.R_inv @ resid[i], hess[i], axes=1)
     v_xx = (w[:, None, None] * h).sum(axis=0)
-    if not (np.isfinite(v_x).all() and np.isfinite(v_xx).all()):
-        raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")
-    return v_x, symmetrize(v_xx)
+    # A NaN or Inf entry makes the sum non-finite; a finite sum clears both.
+    if not math.isfinite(v_x.sum() + v_xx.sum()):
+        if not (np.isfinite(v_x).all() and np.isfinite(v_xx).all()):
+            raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")
+    return v_x, 0.5 * (v_xx + v_xx.T)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +158,24 @@ def chol_cov_step(
     reconstruction but never forms the Gram product -- so its
     smallest pivot stays >= sqrt(epsilon) even when the iterate is so
     ill-conditioned that the explicit product would round to indefinite.
+    That ``(2n, n)`` QR input is filled in one preallocated array.
 
     ``v_xx`` and ``prior_inv`` must each be exactly symmetric (as the outputs
     of :func:`~nanofilter.linalg.symmetrize` are); their sum then is too, so
     it is not symmetrized again.
     """
-    if float(np.min(np.diag(factor))) < FACTOR_DIAG_TOL:
+    if factor.diagonal().min() < FACTOR_DIAG_TOL:
         raise SingularFactor("factor diagonal fell below tolerance")
     n = factor.shape[0]
     target = v_xx + prior_inv - factor @ factor.T
     inner = tril_solve(factor, target)
     exponent = 0.5 * tril_solve(factor, inner.T).T
     moved = factor @ (identity(n) + exponent)
-    stacked = np.vstack([moved.T, np.sqrt(epsilon) * identity(n)])
+    stacked = np.zeros((2 * n, n))
+    stacked[:n] = moved.T
+    stacked.flat[n * n :: n + 1] = math.sqrt(epsilon)   # the lower block's diagonal
     upper = qr_upper(stacked)
-    signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
+    signs = np.where(upper.diagonal() < 0.0, -1.0, 1.0)
     return (signs[:, None] * upper).T
 
 
@@ -206,6 +212,15 @@ def nano_update(
     ``cfg.gamma`` (checked after a full covariance+mean pass) or after
     ``cfg.max_iters`` iterations, and returns the last iterate.
 
+    ``prior.cov`` is factored once: the factor gives the prior information
+    matrix (solved against the identity and symmetrized, as
+    :func:`~nanofilter.linalg.spd_inverse` does) and, with ``init="prior"``,
+    is the first pass's sigma-point root.  The ``"cholesky-factor"`` update
+    then starts from the Cholesky factor of that information matrix.  Each
+    pass tests finiteness with one sum over the likelihood derivatives and
+    one over the new iterate; only a non-finite sum pays for the entry-wise
+    check that picks the exception.
+
     Raises
     ------
     PDFailure
@@ -223,19 +238,30 @@ def nano_update(
     exact = cfg.hessian == "exact"
     factored = cfg.cov_update == "cholesky-factor"
 
-    n = prior.mean.shape[0]
-    prior_inv = spd_inverse(prior.cov)
-    start = ekf_update(prior, y, model)[0] if cfg.init == "ekf" else prior
-    mean, cov = start.mean, start.cov
+    eye = identity(prior.mean.shape[0])
+    prior_factor = cholesky_factor(prior.cov)
+    prior_inv = chol_solve(prior_factor, eye)
+    prior_inv = 0.5 * (prior_inv + prior_inv.T)
+    prior_mean = prior.mean
+    if cfg.init == "ekf":
+        start = ekf_update(prior, y, model)[0]
+        mean, cov = start.mean, start.cov
+        root, cov_inv = None, spd_inverse(cov) if factored else None
+    else:
+        # The first pass spreads its points with the prior's own factor.
+        mean, cov = prior_mean, prior.cov
+        root, cov_inv = prior_factor, prior_inv
 
     # Lower factor of the iterate's *inverse* covariance; its inverse transpose
     # is a square root of the covariance, usable for sigma points even when the
     # covariance itself is too ill-conditioned to re-factorize.
-    inv_factor = cholesky_factor(spd_inverse(cov)) if factored else None
+    inv_factor = cholesky_factor(cov_inv) if factored else None
     try:
         for iterations in range(1, cfg.max_iters + 1):
-            spread = _sigma_root(cov, inv_factor)
-            cset = generate_points(rule, mean, cov, spread=spread)
+            if root is None:
+                root = _sigma_root(cov, inv_factor)
+            cset = generate_points(rule, mean, cov, spread=root)
+            root = None
             v_x, v_xx = _expected_derivatives(cset, y, model, exact)
 
             if factored:
@@ -243,13 +269,16 @@ def nano_update(
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
                 inv_factor = cholesky_factor(prior_inv + v_xx)
-            cov_next = symmetrize(chol_solve(inv_factor, identity(n)))
+            cov_next = chol_solve(inv_factor, eye)
+            cov_next = 0.5 * (cov_next + cov_next.T)
 
-            mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior.mean))
-            if not (np.isfinite(mean_next).all() and np.isfinite(cov_next).all()):
-                raise NonFiniteIterate("optimizer iterate left finite floats")
+            mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior_mean))
+            if not math.isfinite(mean_next.sum() + cov_next.sum()):
+                if not (np.isfinite(mean_next).all() and np.isfinite(cov_next).all()):
+                    raise NonFiniteIterate("optimizer iterate left finite floats")
 
-            delta = float(np.linalg.norm(cov_next - cov))
+            d = (cov_next - cov).ravel()
+            delta = math.sqrt(d.dot(d))
             mean, cov = mean_next, cov_next
             if delta < cfg.gamma:
                 break

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -175,7 +176,8 @@ def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndar
             f"function mapped {len(points)} stacked points to shape {vals.shape}; "
             "it must accept (..., n) stacks and return (..., k)"
         )
-    if not np.isfinite(vals).all():
+    # A NaN or Inf entry makes the sum non-finite; only then check entry-wise.
+    if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
         raise NonFiniteFunctionValue("function returned NaN/Inf at a sigma point")
     return vals
 
