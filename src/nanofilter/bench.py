@@ -3,6 +3,7 @@
 Trials are paired: trial ``i`` of every filter replays the identical simulated
 trajectory, because the trajectory is derived only from the scenario config
 and the trial index (seed = config seed + trial index, a fresh PCG64 stream).
+All trials of a run are simulated up front, together, before any filter runs.
 A trial counts as diverged when the filter raises an estimation error, a
 natural-gradient update reports a positive-definiteness failure, or any mean
 component is NaN or exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged
@@ -100,7 +101,8 @@ def run_filter(
         means[t - 1] = belief.mean
         covs[t - 1] = belief.cov
         steps = t
-        if not np.all(np.abs(belief.mean) <= DIVERGENCE_LIMIT):  # also catches NaN
+        # Every comparison with NaN is false, so a NaN component diverges too.
+        if not all(abs(v) <= DIVERGENCE_LIMIT for v in belief.mean.tolist()):
             diverged = True
             break
 
@@ -109,8 +111,21 @@ def run_filter(
 
 def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup | None = None) -> Trajectory:
     """Simulate the (shared) trajectory for one trial index."""
+    return _simulate(cfg, setup, np.random.default_rng(cfg.seed + trial))
+
+
+def make_trajectories(cfg: ScenarioConfig, setup: ScenarioSetup | None = None) -> list[Trajectory]:
+    """Simulate the trajectories of all ``cfg.trials`` trials in one batched call.
+
+    Trial ``i`` draws from its own stream, seeded ``cfg.seed + i``, so each
+    trajectory equals ``make_trajectory(cfg, i)``.
+    """
+    rngs = [np.random.default_rng(cfg.seed + trial) for trial in range(cfg.trials)]
+    return _simulate(cfg, setup, rngs)
+
+
+def _simulate(cfg: ScenarioConfig, setup: ScenarioSetup | None, rng):
     setup = setup or scenario_models(cfg)
-    rng = np.random.default_rng(cfg.seed + trial)
     return simulate_trajectory(
         setup.truth, setup.process_noise, setup.measurement_noise,
         setup.init_mean, setup.init_cov, cfg.horizon, rng,
@@ -201,7 +216,12 @@ def run_monte_carlo(
     cfg: ScenarioConfig,
     filter_ids: tuple[str, ...] = ("nano",),
 ) -> BenchmarkReport:
-    """Paired Monte Carlo over ``cfg.trials`` trajectories for each filter."""
+    """Paired Monte Carlo over ``cfg.trials`` trajectories for each filter.
+
+    The config is validated first; then every trial's trajectory is simulated
+    up front in one batched call (:func:`make_trajectories`), and each filter
+    runs on each of them.
+    """
     for fid in filter_ids:
         if fid not in FILTER_IDS:
             raise ValueError(f"unknown filter {fid!r}; expected one of {FILTER_IDS}")
@@ -209,12 +229,14 @@ def run_monte_carlo(
     if "kf" in filter_ids and setup.filter_view.linear is None:
         raise ModelNotLinear(f"model {cfg.model!r} has no exact linear parts; 'kf' cannot run")
 
-    def run_every_filter(trial: int) -> list[TrialResult]:
-        # Every filter replays the same trajectory, so it is simulated once.
-        traj = make_trajectory(cfg, trial, setup)
-        return [run_trial(cfg, fid, trial, traj, setup) for fid in filter_ids]
+    # Every filter replays the same trajectories, so each trial is simulated
+    # once, all of them together before any filter runs.
+    trajectories = make_trajectories(cfg, setup) if filter_ids else []
 
-    trials = range(cfg.trials) if filter_ids else range(0)
+    def run_every_filter(trial: int) -> list[TrialResult]:
+        return [run_trial(cfg, fid, trial, trajectories[trial], setup) for fid in filter_ids]
+
+    trials = range(len(trajectories))
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
-from .linalg import chol_solve, identity, spd_solve, symmetrize
+from .linalg import all_finite, chol_solve, identity, spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
 
@@ -265,7 +265,8 @@ def filter_step(
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}")
-    if not np.isfinite(y).all():
+    y = np.asarray(y, dtype=float)
+    if not all_finite(y):
         raise NonFiniteMeasurement(f"measurement {y!r} is not finite")
     rule = rule or SigmaPointRule("cubature")
 

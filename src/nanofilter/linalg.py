@@ -94,6 +94,30 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
+# all_finite sums arrays up to this size with Python's float sum.
+FINITE_SUM_MAX = 64
+
+
+def all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of every array is finite (neither NaN nor +-Inf).
+
+    The fast path adds up one sum per array: the entries themselves, or their
+    squares by one ``dot`` for arrays of more than ``FINITE_SUM_MAX`` entries.
+    Either total is finite only when every entry is, and either costs less
+    than a numpy reduction.  Python's sum is the cheaper one on small arrays,
+    and unlike numpy's ``dot`` it keeps the GIL: a ``dot`` inside an update
+    lets a thread-pool worker take the interpreter mid-update and inflates
+    that update's measured time.  Large finite entries can overflow a total
+    (numpy warns for a ``dot``), so a non-finite total falls back to the
+    entry-wise test.
+    """
+    total = 0.0
+    for a in arrays:
+        flat = a.ravel()
+        total += sum(flat.tolist()) if flat.size <= FINITE_SUM_MAX else float(flat.dot(flat))
+    return math.isfinite(total) or all(np.isfinite(a).all() for a in arrays)
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return ``(A + A.T) / 2``."""
     a = np.asarray(a, dtype=float)
@@ -120,11 +144,10 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # dpotrf reads one triangle and returns info 0 with a NaN factor for a NaN
     # below the diagonal, so finiteness cannot be left to it.  A bitwise
-    # symmetric matrix with a finite sum passes both checks below; that test
-    # is cheaper than either, and every other input gets the full diagnosis.
-    if not (a.tobytes() == a.T.tobytes() and math.isfinite(a.sum())):
-        if not np.isfinite(a).all():
-            raise NotPositiveDefinite("matrix has a non-finite entry")
+    # symmetric matrix skips the symmetry tolerance test.
+    if not all_finite(a):
+        raise NotPositiveDefinite("matrix has a non-finite entry")
+    if a.tobytes() != a.T.tobytes():
         # The scale of A is only needed once the absolute test has failed.
         asym = np.abs(a - a.T).max(initial=0.0)
         if asym > SYMMETRY_RTOL and asym > SYMMETRY_RTOL * np.abs(a).max():

@@ -1,4 +1,4 @@
-"""State-space model contract, noise generators, and trajectory simulation.
+"""State-space model contract, noise generators, and batched trajectory simulation.
 
 A :class:`StateSpaceModel` packages the discrete-time system
 
@@ -14,17 +14,23 @@ covariances; what the simulator actually draws is described separately by
 ``(..., n)`` to ``(..., n)``, ``(..., m)``, ``(..., m, n)`` and
 ``(..., m, n, n)``; a single ``(n,)`` state is the empty-stack case.  Sigma-point
 filters evaluate a whole point set with one call.  ``jac_f`` takes one state.
+
+:func:`simulate_trajectory` advances all trials of a run together, so the
+simulator calls ``f`` once per step on the ``(T, n)`` stack of trial states.
+Each trial keeps its own random stream, and the draws from each stream keep a
+fixed order, so a trial's trajectory does not depend on how many trials are
+simulated with it.  One trajectory is the T = 1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteState
-from .linalg import cholesky_factor, spd_inverse, symmetrize
+from .linalg import all_finite, cholesky_factor, spd_inverse, symmetrize
 
 Array = np.ndarray
 Dynamics = Callable[[Array, Array | None, int], Array]
@@ -200,22 +206,69 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
     )
 
 
+def _variate_drawer(spec: NoiseSpec) -> Callable[[np.random.Generator, Array], bool]:
+    """``draw(rng, out)``: draw one noise vector's variates from ``rng`` into ``out``.
+
+    ``draw`` returns whether the draw took the outlier branch (mixture and
+    beta-replacement kinds); :func:`_shape_noise` turns variates into noise.
+    """
+    kind, dim = spec.kind, spec.dim
+    if kind == "gaussian":
+        def draw(rng, out):
+            out[:] = rng.standard_normal(dim)
+            return False
+    elif kind == "laplace":
+        scale = spec.scale
+        if scale.size and scale.tobytes() == np.full_like(scale, scale[0]).tobytes():
+            # Equal scales draw the same bits through numpy's much cheaper
+            # scalar-parameter path.
+            scale = float(scale[0])
+
+        def draw(rng, out):
+            out[:] = rng.laplace(0.0, scale, dim)
+            return False
+    elif kind == "gaussian-mixture":
+        def draw(rng, out):
+            outlier = rng.random() < spec.prob
+            out[:] = rng.standard_normal(dim)
+            return outlier
+    elif kind == "beta-replacement":
+        def draw(rng, out):
+            if rng.random() < spec.prob:
+                out[:] = rng.beta(spec.beta_a, spec.beta_b)
+                return True
+            out[:] = rng.standard_normal(dim)
+            return False
+    else:
+        raise ValueError(f"unknown noise kind {spec.kind!r}")
+    return draw
+
+
+def _root_times(root: Array, z: Array) -> Array:
+    """``root @ z`` for every vector of a ``(..., d)`` stack, one BLAS product each."""
+    return np.matmul(root, z[..., None])[..., 0]
+
+
+def _shape_noise(spec: NoiseSpec, z: Array, outlier: Array | None) -> Array:
+    """Noise vectors from a ``(..., dim)`` stack of variates and ``(...)`` outlier flags.
+
+    The flags are read only by the kinds that have an outlier branch.
+    """
+    if spec.kind == "laplace":
+        return z
+    noise = _root_times(spec.chol, z)
+    if spec.kind == "gaussian-mixture":
+        return np.where(outlier[..., None], _root_times(spec.outlier_chol, z), noise)
+    if spec.kind == "beta-replacement":
+        return np.where(outlier[..., None], z, noise)
+    return noise
+
+
 def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> Array:
     """Draw one noise vector.  Consumes the stream deterministically per kind."""
-    if spec.kind == "gaussian":
-        return spec.chol @ rng.standard_normal(spec.dim)
-    if spec.kind == "laplace":
-        return rng.laplace(0.0, spec.scale)
-    if spec.kind == "gaussian-mixture":
-        u = rng.random()
-        z = rng.standard_normal(spec.dim)
-        return (spec.outlier_chol if u < spec.prob else spec.chol) @ z
-    if spec.kind == "beta-replacement":
-        u = rng.random()
-        if u < spec.prob:
-            return np.full(spec.dim, rng.beta(spec.beta_a, spec.beta_b))
-        return spec.chol @ rng.standard_normal(spec.dim)
-    raise ValueError(f"unknown noise kind {spec.kind!r}")
+    z = np.empty(spec.dim)
+    outlier = _variate_drawer(spec)(rng, z)
+    return _shape_noise(spec, z, np.array(outlier))
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +291,83 @@ def simulate_trajectory(
     init_mean: Array,
     init_cov: Array,
     steps: int,
-    rng: np.random.Generator,
-) -> Trajectory:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> Trajectory | list[Trajectory]:
     """Roll the model forward ``steps`` steps from a Gaussian initial draw.
 
-    Draw order is fixed -- initial state, then per step: process noise, then
-    measurement noise -- so a seed pins the whole trajectory.
+    ``rng`` is one Generator, which gives one :class:`Trajectory`, or a
+    sequence of T Generators, which gives a list of T trajectories; one
+    Generator is the T = 1 case.  The trials advance together: ``f`` sees the
+    ``(T, n)`` stack of states once per step, ``g`` sees every simulated state
+    in one call, and the noise roots multiply stacks of variates.  Each
+    stream is drawn in a fixed order -- initial state, then per step: process
+    noise, then measurement noise -- so a seed pins its trajectory, whatever
+    streams it shares a call with.  A stream whose two specs are Gaussian is
+    drawn in one call.  The trajectories own disjoint arrays.
+
+    Raises
+    ------
+    NonFiniteState
+        If a simulated state leaves the finite floats.  With several streams,
+        the error names the first bad step of the lowest-index failing one,
+        which is what simulating them one after another would report.
     """
-    init_mean = np.asarray(init_mean, dtype=float)
-    x = init_mean + _noise_root(init_cov) @ rng.standard_normal(model.n)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    count, n, m = len(rngs), model.n, model.m
 
-    states = np.empty((steps + 1, model.n))
-    states[0] = x
-    measurements = np.empty((steps, model.m))
+    if process.kind == measurement.kind == "gaussian":
+        # One call per stream: its draws in order, split afterwards.
+        draws = np.empty((count, n + steps * (n + m)))
+        for k, stream in enumerate(rngs):
+            stream.standard_normal(out=draws[k])
+        z0 = draws[:, :n]
+        per_step = draws[:, n:].reshape(count, steps, n + m)
+        z_proc, z_meas = per_step[..., :n], per_step[..., n:]
+        proc_out = meas_out = None
+    else:
+        z0 = np.empty((count, n))
+        z_proc = np.empty((count, steps, n))
+        z_meas = np.empty((count, steps, m))
+        proc_out = np.empty((count, steps), dtype=bool)
+        meas_out = np.empty((count, steps), dtype=bool)
+        draw_process, draw_measurement = _variate_drawer(process), _variate_drawer(measurement)
+        for k, stream in enumerate(rngs):
+            z0[k] = stream.standard_normal(n)
+            for t in range(steps):
+                proc_out[k, t] = draw_process(stream, z_proc[k, t])
+                meas_out[k, t] = draw_measurement(stream, z_meas[k, t])
+    process_noise = _shape_noise(process, z_proc, proc_out)
+    measurement_noise = _shape_noise(measurement, z_meas, meas_out)
+
+    states = np.empty((count, steps + 1, n))
     inputs = np.empty((steps, model.l)) if model.control is not None else None
-
+    x = np.asarray(init_mean, dtype=float) + _root_times(_noise_root(init_cov), z0)
+    states[:, 0] = x
+    live, failure = count, None
     for t in range(1, steps + 1):
-        u = model.control(t - 1) if model.control is not None else None
+        u = None
         if inputs is not None:
-            inputs[t - 1] = u
-        x = model.f(states[t - 1], u, t - 1) + sample_noise(process, rng)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"simulated state left finite floats at step {t}")
-        states[t] = x
-        measurements[t - 1] = model.g(x) + sample_noise(measurement, rng)
+            u = inputs[t - 1] = model.control(t - 1)
+        x = model.f(x, u, t - 1) + process_noise[:live, t - 1]
+        if not all_finite(x):
+            # Streams below the lowest failing one keep going: one of them may
+            # fail later, and simulated one at a time it would be reported.
+            live = int(np.flatnonzero(~np.isfinite(x).all(axis=-1))[0])
+            failure = (live, t)
+            if live == 0:
+                break
+            x = x[:live]
+        states[:live, t] = x
+    if failure is not None:
+        stream, t = failure
+        raise NonFiniteState(f"simulated state of stream {stream} left finite floats at step {t}")
 
-    return Trajectory(states=states, measurements=measurements, inputs=inputs)
+    measurements = model.g(states[:, 1:]) + measurement_noise
+    if inputs is not None:
+        inputs = np.repeat(inputs[None], count, axis=0)
+    trajectories = [
+        Trajectory(states[k], measurements[k], None if inputs is None else inputs[k])
+        for k in range(count)
+    ]
+    return trajectories[0] if single else trajectories

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
 from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update
-from .linalg import chol_solve, cholesky_factor, identity, qr_upper, spd_inverse, symmetrize, tril_solve
+from .linalg import all_finite, chol_solve, cholesky_factor, identity, qr_upper, spd_inverse, symmetrize, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
@@ -131,11 +131,12 @@ def _expected_derivatives(
         for i in range(len(pts)):
             h[i] += np.tensordot(model.R_inv @ resid[i], hess[i], axes=1)
     v_xx = (w[:, None, None] * h).sum(axis=0)
-    # A NaN or Inf entry makes the sum non-finite; a finite sum clears both.
-    if not math.isfinite(v_x.sum() + v_xx.sum()):
-        if not (np.isfinite(v_x).all() and np.isfinite(v_xx).all()):
-            raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")
-    return v_x, 0.5 * (v_xx + v_xx.T)
+    v_xx = 0.5 * (v_xx + v_xx.T)
+    # Checked after symmetrizing, so an entry that overflows there is named
+    # as a non-finite value and not as a later loss of positive definiteness.
+    if not all_finite(v_x, v_xx):
+        raise NonFiniteFunctionValue("likelihood derivatives non-finite at a sigma point")
+    return v_x, v_xx
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +218,8 @@ def nano_update(
     :func:`~nanofilter.linalg.spd_inverse` does) and, with ``init="prior"``,
     is the first pass's sigma-point root.  The ``"cholesky-factor"`` update
     then starts from the Cholesky factor of that information matrix.  Each
-    pass tests finiteness with one sum over the likelihood derivatives and
-    one over the new iterate; only a non-finite sum pays for the entry-wise
-    check that picks the exception.
+    pass tests the likelihood derivatives and the new iterate for finiteness
+    with :func:`~nanofilter.linalg.all_finite`.
 
     Raises
     ------
@@ -273,9 +273,8 @@ def nano_update(
             cov_next = 0.5 * (cov_next + cov_next.T)
 
             mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior_mean))
-            if not math.isfinite(mean_next.sum() + cov_next.sum()):
-                if not (np.isfinite(mean_next).all() and np.isfinite(cov_next).all()):
-                    raise NonFiniteIterate("optimizer iterate left finite floats")
+            if not all_finite(mean_next, cov_next):
+                raise NonFiniteIterate("optimizer iterate left finite floats")
 
             d = (cov_next - cov).ravel()
             delta = math.sqrt(d.dot(d))

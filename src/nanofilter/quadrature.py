@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteFunctionValue
-from .linalg import cholesky_factor, symmetrize, tridiagonal_eigh
+from .linalg import all_finite, cholesky_factor, symmetrize, tridiagonal_eigh
 
 GH_MIN_ORDER = 2
 GH_MAX_ORDER = 10
@@ -176,8 +175,7 @@ def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndar
             f"function mapped {len(points)} stacked points to shape {vals.shape}; "
             "it must accept (..., n) stacks and return (..., k)"
         )
-    # A NaN or Inf entry makes the sum non-finite; only then check entry-wise.
-    if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
+    if not all_finite(vals):
         raise NonFiniteFunctionValue("function returned NaN/Inf at a sigma point")
     return vals
 

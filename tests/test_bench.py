@@ -130,15 +130,14 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
     from nanofilter import bench
 
     monkeypatch.setenv("NANO_BENCH_THREADS", "1")
-    simulate = bench.make_trajectory
+    simulate = bench.make_trajectories
 
-    def with_nan(cfg, trial, setup=None):
-        traj = simulate(cfg, trial, setup)
-        if trial == 0:
-            traj.measurements[5] = np.nan
-        return traj
+    def with_nan(cfg, setup=None):
+        trajectories = simulate(cfg, setup)
+        trajectories[0].measurements[5] = np.nan
+        return trajectories
 
-    monkeypatch.setattr(bench, "make_trajectory", with_nan)
+    monkeypatch.setattr(bench, "make_trajectories", with_nan)
     cfg = ScenarioConfig(model="duffing", trials=3, horizon=20, seed=0)
     rep = run_monte_carlo(cfg, ("ekf", "iekf"))
     for fid in ("ekf", "iekf"):
@@ -210,30 +209,33 @@ def test_run_monte_carlo_shapes_and_order():
 
 
 def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
-    # Serially, a trial's trajectory is simulated once and every filter runs
-    # on it before the next trial is simulated, so one trajectory is alive.
+    # Every trial is simulated once, all of them in one batched call before
+    # any filter runs, and every filter replays trial i's trajectory.
     from nanofilter import bench
 
     monkeypatch.setenv("NANO_BENCH_THREADS", "1")
-    simulate, run, events = bench.make_trajectory, bench.run_trial, []
+    simulate, run, events = bench.make_trajectories, bench.run_trial, []
+    batches = []
 
-    def simulated(cfg, trial, setup=None):
-        events.append(("simulate", trial))
-        return simulate(cfg, trial, setup)
+    def simulated(cfg, setup=None):
+        batches.append(simulate(cfg, setup))
+        events.append(("simulate", len(batches[-1])))
+        return batches[-1]
 
-    def ran(cfg, fid, trial, *args):
+    def ran(cfg, fid, trial, traj, *args):
+        assert traj is batches[0][trial]
         events.append((fid, trial))
-        return run(cfg, fid, trial, *args)
+        return run(cfg, fid, trial, traj, *args)
 
-    monkeypatch.setattr(bench, "make_trajectory", simulated)
+    monkeypatch.setattr(bench, "make_trajectories", simulated)
     monkeypatch.setattr(bench, "run_trial", ran)
     cfg = ScenarioConfig(model="duffing", trials=3, horizon=10, seed=0)
     rep = run_monte_carlo(cfg, ("ekf", "ukf"))
-    assert events == [(name, trial) for trial in range(3) for name in ("simulate", "ekf", "ukf")]
+    assert events == [("simulate", 3)] + [(name, trial) for trial in range(3) for name in ("ekf", "ukf")]
     # The shared trajectories give what a trial simulated on its own gives.
     for fid in ("ekf", "ukf"):
         for trial, row in enumerate(rep.results[fid]):
-            alone = run_trial(cfg, fid, trial, simulate(cfg, trial))
+            alone = run_trial(cfg, fid, trial, bench.make_trajectory(cfg, trial))
             assert (row.rmse, row.diverged, row.steps) == (alone.rmse, alone.diverged, alone.steps)
 
 
@@ -247,7 +249,7 @@ def test_bad_rule_rejected_before_any_trajectory(monkeypatch):
     import nanofilter.bench as bench
 
     calls = []
-    monkeypatch.setattr(bench, "make_trajectory", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="unknown sigma-point rule"):
         run_monte_carlo(ScenarioConfig(model="duffing", trials=2, horizon=5, mm="bogus"), ("ekf",))
     assert calls == []
@@ -336,7 +338,7 @@ def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error):
     import nanofilter.bench as bench
 
     calls = []
-    monkeypatch.setattr(bench, "make_trajectory", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
     with pytest.raises(error):
         run()
     assert calls == []

@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nanofilter
 from nanofilter import linalg
 from nanofilter.errors import EstimationError, NotPositiveDefinite, SingularFactor
 from nanofilter.linalg import (
+    all_finite,
     cholesky_factor,
     identity,
     qr_upper,
@@ -157,6 +161,46 @@ def test_lapack_routines_are_scipys(n):
     for trans in (0, 1):
         same(linalg.dtrtrs(factor, b, lower=1, trans=trans), lapack.dtrtrs(factor, b, lower=1, trans=trans))
     same(linalg.dgeqrf(tall), lapack.dgeqrf(tall))
+
+
+# Any float64, NaN and +-Inf included, with extra weight on finite entries
+# whose squares or sums overflow.  Up to 100 entries, so both of the fast
+# path's sums (plain up to linalg.FINITE_SUM_MAX entries, of squares above) run.
+_ENTRIES = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([1e154, -1.5e154, 8e307, 1e308, -1.7976931348623157e308]),
+)
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=10), elements=_ENTRIES)
+
+
+# Squares of the huge entries overflow on purpose.
+overflow_ok = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@overflow_ok
+@given(_ARRAYS)
+def test_all_finite_is_the_entrywise_test(a):
+    assert all_finite(a) == bool(np.isfinite(a).all())
+
+
+@overflow_ok
+@given(st.lists(_ARRAYS, min_size=1, max_size=3))
+def test_all_finite_of_several_arrays_needs_every_entry_finite(arrays):
+    assert all_finite(*arrays) == all(np.isfinite(a).all() for a in arrays)
+
+
+@overflow_ok
+@pytest.mark.parametrize("side", [2, 9])
+def test_all_finite_passes_huge_finite_entries(side):
+    huge = np.full((side, side), 1e200)
+    huge[0, :2] = 1e308, -1e308
+    huge[1, 1] = 8e307
+    assert all_finite(huge) and all_finite(huge, huge.T)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = huge.copy()
+        spoiled[1, 0] = bad
+        assert not all_finite(spoiled)
+        assert not all_finite(np.zeros(2), spoiled)
 
 
 def test_symmetrize():

@@ -1,7 +1,8 @@
 """The iterated updates against reference copies of their earlier, plainer form.
 
 ``nano_update``, ``chol_cov_step``, ``plf_update`` and ``iekf_update`` factor
-the prior once, test finiteness with one sum and reuse products within a pass.
+the prior once, test finiteness with ``linalg.all_finite`` and reuse products
+within a pass.
 The references below keep the earlier arithmetic (a second ``spd_inverse``,
 ``symmetrize``, ``np.linalg.norm``, ``np.vstack``, entry-wise finiteness
 checks), and every posterior and diagnostic must match them bit for bit.
@@ -260,7 +261,7 @@ def test_prior_factor_is_shared_by_the_inverse_and_the_first_pass(monkeypatch, f
 
 
 # ---------------------------------------------------------------------------
-# One-sum finiteness checks
+# Finiteness checks whose fast path can overflow
 
 
 def _constant_model(jac, resid):
@@ -299,6 +300,18 @@ def test_derivatives_whose_sum_overflows_pass(jac, resid):
     v_x, v_xx = _expected_derivatives(_cset(), np.zeros(2), _constant_model(jac, resid), exact=False)
     assert np.isfinite(v_x).all() and np.isfinite(v_xx).all()
     assert np.isinf(v_x.sum() + v_xx.sum())
+
+
+def test_overflow_at_symmetrizing_is_a_nonfinite_value():
+    # G^T R^-1 G = 1e308 I is finite, but symmetrizing adds each entry to its
+    # mirror and overflows; the update names that overflow, not a later loss
+    # of positive definiteness.
+    model = _constant_model(1e154 * np.eye(2), np.zeros(2))
+    with pytest.raises(NonFiniteFunctionValue):
+        _expected_derivatives(_cset(), np.zeros(2), model, exact=False)
+    prior = GaussianBelief(np.zeros(2), np.eye(2))
+    with pytest.raises(NonFiniteFunctionValue):
+        nano.nano_update(prior, np.zeros(2), model, SigmaPointRule(), NANO_PRESETS["nano"])
 
 
 def _stub_iterate_cov(monkeypatch, cov):
