@@ -94,27 +94,28 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-# all_finite sums arrays up to this size with Python's float sum.
-FINITE_SUM_MAX = 64
+# all_finite sums arrays up to this size with Python's float sum, and takes
+# the sum of squares of larger ones.  Near 48 entries the two cost the same.
+FINITE_SUM_MAX = 48
 
 
 def all_finite(*arrays: np.ndarray) -> bool:
     """Whether every entry of every array is finite (neither NaN nor +-Inf).
 
-    The fast path adds up one sum per array: the entries themselves, or their
-    squares by one ``dot`` for arrays of more than ``FINITE_SUM_MAX`` entries.
-    Either total is finite only when every entry is, and either costs less
-    than a numpy reduction.  Python's sum is the cheaper one on small arrays,
-    and unlike numpy's ``dot`` it keeps the GIL: a ``dot`` inside an update
-    lets a thread-pool worker take the interpreter mid-update and inflates
-    that update's measured time.  Large finite entries can overflow a total
-    (numpy warns for a ``dot``), so a non-finite total falls back to the
-    entry-wise test.
+    The fast path adds up one total per array: the entries themselves, by
+    Python's float sum, for arrays of up to ``FINITE_SUM_MAX`` entries, and
+    the squares of the entries, by one 1-D ``@``, above.  Either total is
+    finite only when every entry is.  Both cost less than a numpy reduction,
+    the sum on small arrays and the ``@`` on large ones, and neither releases
+    the GIL (``ndarray.dot`` does, which changes how the thread-pool workers
+    of a Monte Carlo run take turns at the interpreter mid-update).  Large
+    finite entries can overflow a total (numpy warns for the ``@``), so a
+    non-finite total falls back to the entry-wise test.
     """
     total = 0.0
     for a in arrays:
         flat = a.ravel()
-        total += sum(flat.tolist()) if flat.size <= FINITE_SUM_MAX else float(flat.dot(flat))
+        total += sum(flat.tolist()) if flat.size <= FINITE_SUM_MAX else float(flat @ flat)
     return math.isfinite(total) or all(np.isfinite(a).all() for a in arrays)
 
 

@@ -302,41 +302,34 @@ def simulate_trajectory(
     in one call, and the noise roots multiply stacks of variates.  Each
     stream is drawn in a fixed order -- initial state, then per step: process
     noise, then measurement noise -- so a seed pins its trajectory, whatever
-    streams it shares a call with.  A stream whose two specs are Gaussian is
-    drawn in one call.  The trajectories own disjoint arrays.
+    streams it shares a call with.  The trajectories own disjoint arrays.
 
     Raises
     ------
     NonFiniteState
         If a simulated state leaves the finite floats.  With several streams,
         the error names the first bad step of the lowest-index failing one,
-        which is what simulating them one after another would report.
+        which is what simulating them one after another would report.  The
+        order covers this error only.  An exception raised inside ``f`` or
+        ``g`` (attitude's ``GimbalLock``, say) comes from the stacked call,
+        whichever stream trips it, and ``g`` runs only after every step, so a
+        batch can raise a different error than its streams one at a time.
     """
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     count, n, m = len(rngs), model.n, model.m
 
-    if process.kind == measurement.kind == "gaussian":
-        # One call per stream: its draws in order, split afterwards.
-        draws = np.empty((count, n + steps * (n + m)))
-        for k, stream in enumerate(rngs):
-            stream.standard_normal(out=draws[k])
-        z0 = draws[:, :n]
-        per_step = draws[:, n:].reshape(count, steps, n + m)
-        z_proc, z_meas = per_step[..., :n], per_step[..., n:]
-        proc_out = meas_out = None
-    else:
-        z0 = np.empty((count, n))
-        z_proc = np.empty((count, steps, n))
-        z_meas = np.empty((count, steps, m))
-        proc_out = np.empty((count, steps), dtype=bool)
-        meas_out = np.empty((count, steps), dtype=bool)
-        draw_process, draw_measurement = _variate_drawer(process), _variate_drawer(measurement)
-        for k, stream in enumerate(rngs):
-            z0[k] = stream.standard_normal(n)
-            for t in range(steps):
-                proc_out[k, t] = draw_process(stream, z_proc[k, t])
-                meas_out[k, t] = draw_measurement(stream, z_meas[k, t])
+    z0 = np.empty((count, n))
+    z_proc = np.empty((count, steps, n))
+    z_meas = np.empty((count, steps, m))
+    proc_out = np.empty((count, steps), dtype=bool)
+    meas_out = np.empty((count, steps), dtype=bool)
+    draw_process, draw_measurement = _variate_drawer(process), _variate_drawer(measurement)
+    for k, stream in enumerate(rngs):
+        z0[k] = stream.standard_normal(n)
+        for t in range(steps):
+            proc_out[k, t] = draw_process(stream, z_proc[k, t])
+            meas_out[k, t] = draw_measurement(stream, z_meas[k, t])
     process_noise = _shape_noise(process, z_proc, proc_out)
     measurement_noise = _shape_noise(measurement, z_meas, meas_out)
 
