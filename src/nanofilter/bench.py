@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, LengthMismatch, ModelNotLinear
-from .filters import FILTER_IDS, GaussianBelief, UpdateDiagnostics, filter_step
+from .filters import GaussianBelief, UpdateDiagnostics, filter_step, lookup_filter
 from .models import Trajectory, simulate_trajectory
 from .quadrature import SigmaPointRule, parse_rule
 from .scenarios import MODEL_IDS, ScenarioConfig, ScenarioSetup, scenario_models
@@ -223,8 +223,7 @@ def run_monte_carlo(
     runs on each of them.
     """
     for fid in filter_ids:
-        if fid not in FILTER_IDS:
-            raise ValueError(f"unknown filter {fid!r}; expected one of {FILTER_IDS}")
+        lookup_filter(fid)   # an unknown id raises before anything is simulated
     setup = scenario_models(cfg)
     if "kf" in filter_ids and setup.filter_view.linear is None:
         raise ModelNotLinear(f"model {cfg.model!r} has no exact linear parts; 'kf' cannot run")

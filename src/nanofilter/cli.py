@@ -112,9 +112,6 @@ def _filters_from(settings: dict) -> tuple[str, ...]:
     names = tuple(f.strip() for f in settings.get("filter", "nano").split(",") if f.strip())
     if not names:
         raise ConfigError("empty filter list")
-    for name in names:
-        if name not in FILTER_IDS:
-            raise ConfigError(f"unknown filter {name!r}; expected one of {FILTER_IDS}")
     return names
 
 

@@ -2,9 +2,10 @@
 
 All filters share :class:`GaussianBelief`, and every measurement update
 returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
-predict + one measurement update and stamps the update's wall-clock time onto
+predict + one measurement update of the filter id it is given, as looked up in
+the one table :data:`FILTERS`, and stamps the update's wall-clock time onto
 its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
-this module hosts the baselines and the dispatcher.
+this module hosts the baselines and the filter table.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
 from .linalg import all_finite, chol_solve, identity, spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
-
-FILTER_IDS = ("kf", "ekf", "iekf", "ukf", "plf", "nano", "nano-nopd", "nano-ekf", "nano-chol")
 
 ITER_GAMMA = 1e-6
 ITER_MAX = 10
@@ -71,8 +70,11 @@ PD_FAILED = UpdateDiagnostics(0, float("nan"), True, 0.0)
 # Linear Kalman filter
 
 
-def _kf_predict(belief: GaussianBelief, u, model: StateSpaceModel) -> GaussianBelief:
+def kf_predict(belief: GaussianBelief, u, model: StateSpaceModel) -> GaussianBelief:
+    """Exact linear prediction."""
     lin = model.linear
+    if lin is None:
+        raise ModelNotLinear(f"model {model.name!r} has no exact linear parts")
     x = lin.A @ belief.mean
     if lin.B is not None and u is not None:
         x = x + lin.B @ u
@@ -103,12 +105,8 @@ def kf_update(
 
 def kf_step(belief: GaussianBelief, u, y, model: StateSpaceModel) -> GaussianBelief:
     """Exact linear-Gaussian step.  ``y=None`` performs prediction only."""
-    if model.linear is None:
-        raise ModelNotLinear(f"model {model.name!r} has no exact linear parts")
-    pred = _kf_predict(belief, u, model)
-    if y is None:
-        return pred
-    return kf_update(pred, y, model)[0]
+    pred = kf_predict(belief, u, model)
+    return pred if y is None else kf_update(pred, y, model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,40 @@ def plf_update(
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The filter table
+
+
+# Filter id -> (predict(belief, u, model, t, rule), update(prior, y, model, rule)).
+# Each lambda looks its function up by name when it runs, so a rebinding of
+# this module's or nano's attribute, as a tracer makes, reaches every step.
+# Adding a filter id means adding one entry.
+FILTERS = {
+    "kf": (lambda belief, u, model, t, rule: kf_predict(belief, u, model),
+           lambda prior, y, model, rule: kf_update(prior, y, model)),
+    "ekf": (lambda belief, u, model, t, rule: ekf_predict(belief, u, model, t),
+            lambda prior, y, model, rule: ekf_update(prior, y, model)),
+    "iekf": (lambda belief, u, model, t, rule: ekf_predict(belief, u, model, t),
+             lambda prior, y, model, rule: iekf_update(prior, y, model)),
+    "ukf": (lambda belief, u, model, t, rule: mm_predict(belief, u, model, rule, t),
+            lambda prior, y, model, rule: ukf_update(prior, y, model, rule)),
+    "plf": (lambda belief, u, model, t, rule: mm_predict(belief, u, model, rule, t),
+            lambda prior, y, model, rule: plf_update(prior, y, model, rule)),
+    # the natural-gradient ids differ only in their nano.NANO_PRESETS entry;
+    # fid=fid gives each lambda its own id
+    **{fid: (lambda belief, u, model, t, rule: mm_predict(belief, u, model, rule, t),
+             lambda prior, y, model, rule, fid=fid:
+                 nano.nano_update(prior, y, model, rule, nano.NANO_PRESETS[fid]))
+       for fid in ("nano", "nano-nopd", "nano-ekf", "nano-chol")},
+}
+FILTER_IDS = tuple(FILTERS)
+
+
+def lookup_filter(filter_id: str):
+    """The table entry of ``filter_id``; a ``ValueError`` for an unknown id."""
+    try:
+        return FILTERS[filter_id]
+    except KeyError:
+        raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}") from None
 
 
 def filter_step(
@@ -252,7 +283,6 @@ def filter_step(
     model: StateSpaceModel,
     t: int = 0,
     rule: SigmaPointRule | None = None,
-    nano_cfg=None,
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """One predict + update step of the named filter.
 
@@ -263,47 +293,21 @@ def filter_step(
     A measurement with a NaN or Inf entry raises :class:`NonFiniteMeasurement`
     before any filter work.
     """
-    if filter_id not in FILTER_IDS:
-        raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}")
+    predict, update = lookup_filter(filter_id)
     y = np.asarray(y, dtype=float)
     if not all_finite(y):
         raise NonFiniteMeasurement(f"measurement {y!r} is not finite")
     rule = rule or SigmaPointRule("cubature")
 
-    if filter_id == "kf":
-        prior = kf_step(belief, u, None, model)
-    elif filter_id in ("ekf", "iekf"):
-        prior = ekf_predict(belief, u, model, t)
-    else:
-        prior = mm_predict(belief, u, model, rule, t)
-
+    prior = predict(belief, u, model, t, rule)
     start = time.perf_counter()
     try:
-        post, diag = _update(filter_id, prior, y, model, rule, nano_cfg)
+        post, diag = update(prior, y, model, rule)
     except PDFailure:
         post, diag = prior, PD_FAILED
     elapsed = time.perf_counter() - start
     return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.pd_failure, elapsed * 1e3)
 
 
-def _update(filter_id: str, prior: GaussianBelief, y, model: StateSpaceModel,
-            rule: SigmaPointRule, nano_cfg) -> tuple[GaussianBelief, UpdateDiagnostics]:
-    """The named filter's measurement update.
-
-    Each update is looked up by name at call time, so a rebinding of this
-    module's (or :mod:`nanofilter.nano`'s) attribute reaches every step.
-    """
-    from . import nano  # deferred: nano imports this module's baselines
-
-    if filter_id == "kf":
-        return kf_update(prior, y, model)
-    if filter_id == "ekf":
-        return ekf_update(prior, y, model)
-    if filter_id == "iekf":
-        return iekf_update(prior, y, model)
-    if filter_id == "ukf":
-        return ukf_update(prior, y, model, rule)
-    if filter_id == "plf":
-        return plf_update(prior, y, model, rule)
-    cfg = nano_cfg if nano_cfg is not None else nano.NANO_PRESETS[filter_id]
-    return nano.nano_update(prior, y, model, rule, cfg)
+# Last, because nano imports this module's baselines.
+from . import nano  # noqa: E402

@@ -44,8 +44,7 @@ class NanoConfig:
     ``gamma`` and ``max_iters`` bound the iteration; ``epsilon`` is the floor
     ``epsilon I`` added to the reconstructed inverse covariance of the
     ``"cholesky-factor"`` update.  The benchmark runs only the
-    :data:`NANO_PRESETS`; pass any other config to :func:`nano_update` or
-    ``filter_step(nano_cfg=...)``.
+    :data:`NANO_PRESETS`; pass any other config to :func:`nano_update`.
     """
 
     gamma: float = ITER_GAMMA

@@ -239,10 +239,15 @@ def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
             assert (row.rmse, row.diverged, row.steps) == (alone.rmse, alone.diverged, alone.steps)
 
 
-def test_run_monte_carlo_rejects_unknown_filter():
+def test_run_monte_carlo_rejects_unknown_filter(monkeypatch):
+    import nanofilter.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
     with pytest.raises(ValueError, match="unknown filter"):
         run_monte_carlo(cfg, ("ekf", "bogus"))
+    assert calls == []
 
 
 def test_bad_rule_rejected_before_any_trajectory(monkeypatch):

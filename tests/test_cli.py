@@ -83,6 +83,7 @@ def test_run_timing_column(tmp_path):
         ["sweep", "--model", "duffing"],                      # mismatch kind required
         ["sweep", "--model", "duffing", "--mismatch", "none"],
         ["ablate", "--models", "nosuch"],
+        ["sweep", "--model", "duffing", "--mismatch", "outlier", "--filter", "bogus"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
