@@ -218,12 +218,14 @@ def run_monte_carlo(
 ) -> BenchmarkReport:
     """Paired Monte Carlo over ``cfg.trials`` trajectories for each filter.
 
-    The config is validated first; then every trial's trajectory is simulated
-    up front in one batched call (:func:`make_trajectories`), and each filter
-    runs on each of them.
+    The config and the filter ids (known, none repeated) are validated first;
+    then every trial's trajectory is simulated up front in one batched call
+    (:func:`make_trajectories`), and each filter runs on each of them.
     """
     for fid in filter_ids:
         lookup_filter(fid)   # an unknown id raises before anything is simulated
+    if len(set(filter_ids)) != len(filter_ids):
+        raise ValueError(f"repeated filter id in {tuple(filter_ids)}")
     setup = scenario_models(cfg)
     if "kf" in filter_ids and setup.filter_view.linear is None:
         raise ModelNotLinear(f"model {cfg.model!r} has no exact linear parts; 'kf' cannot run")
@@ -289,6 +291,16 @@ def _fmt_float(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_report(report: BenchmarkReport, out_dir, include_timing: bool = False) -> list[Path]:
     """Write ``trials.csv`` and ``summary.txt``; returns the paths.
 
@@ -296,26 +308,20 @@ def emit_report(report: BenchmarkReport, out_dir, include_timing: bool = False) 
     byte-for-byte reproducible across runs with the same config.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     label = scenario_label(report.scenario)
-
-    trials_path = out / "trials.csv"
-    with trials_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIALS_HEADER)
-        for fid in report.filter_ids:
-            for row in report.results[fid]:
-                writer.writerow(
-                    [
-                        label,
-                        fid,
-                        row.trial,
-                        _fmt_float(row.rmse),
-                        "true" if row.diverged else "false",
-                        row.steps,
-                        _fmt_float(row.update_ms) if include_timing else "",
-                    ]
-                )
+    trials_path = _write_csv(out / "trials.csv", TRIALS_HEADER, (
+        [
+            label,
+            fid,
+            row.trial,
+            _fmt_float(row.rmse),
+            "true" if row.diverged else "false",
+            row.steps,
+            _fmt_float(row.update_ms) if include_timing else "",
+        ]
+        for fid in report.filter_ids
+        for row in report.results[fid]
+    ))
 
     cfg = report.scenario
     lines = [
@@ -360,49 +366,35 @@ def parse_trials_csv(path) -> dict[str, list[TrialResult]]:
 
 def emit_sweep(reports: list[BenchmarkReport], out_dir) -> list[Path]:
     """Write ``sweep.csv`` with one row per (level, filter)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "mismatch_kind", "level", "filter", "trials",
-             "divergences", "mean_rmse", "median_rmse", "q1_rmse", "q3_rmse"]
-        )
-        for report in reports:
-            cfg = report.scenario
-            for st in report.summary():
-                writer.writerow(
-                    [
-                        cfg.model,
-                        cfg.mismatch_kind,
-                        _fmt_float(cfg.mismatch_level),
-                        st.filter_id,
-                        st.trials,
-                        st.divergences,
-                        f"{st.mean_rmse:.6g}",
-                        f"{st.median_rmse:.6g}",
-                        f"{st.q1_rmse:.6g}",
-                        f"{st.q3_rmse:.6g}",
-                    ]
-                )
-    return [path]
+    header = ["model", "mismatch_kind", "level", "filter", "trials",
+              "divergences", "mean_rmse", "median_rmse", "q1_rmse", "q3_rmse"]
+    return [_write_csv(Path(out_dir) / "sweep.csv", header, (
+        [
+            report.scenario.model,
+            report.scenario.mismatch_kind,
+            _fmt_float(report.scenario.mismatch_level),
+            st.filter_id,
+            st.trials,
+            st.divergences,
+            f"{st.mean_rmse:.6g}",
+            f"{st.median_rmse:.6g}",
+            f"{st.q1_rmse:.6g}",
+            f"{st.q3_rmse:.6g}",
+        ]
+        for report in reports
+        for st in report.summary()
+    ))]
 
 
 def emit_ablation(reports: list[BenchmarkReport], out_dir) -> list[Path]:
     """Write ``ablation.csv`` plus a human-readable ``ablation.txt`` grid."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "ablation.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "filter", "trials", "divergences", "label", "mean_rmse"])
-        for report in reports:
-            for st in report.summary():
-                writer.writerow(
-                    [report.scenario.model, st.filter_id, st.trials, st.divergences, st.label,
-                     f"{st.mean_rmse:.6g}"]
-                )
+    header = ["model", "filter", "trials", "divergences", "label", "mean_rmse"]
+    csv_path = _write_csv(out / "ablation.csv", header, (
+        [report.scenario.model, st.filter_id, st.trials, st.divergences, st.label, f"{st.mean_rmse:.6g}"]
+        for report in reports
+        for st in report.summary()
+    ))
 
     width = max(len(v) for v in ABLATION_VARIANTS) + 2
     lines = ["RMSE (mean over non-diverged trials; 'diverge' = majority failed)"]

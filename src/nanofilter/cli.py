@@ -136,16 +136,13 @@ def _cmd_sweep(args) -> int:
     kind = settings.pop("mismatch.kind", None)
     if kind is None:
         raise ConfigError("sweep requires --mismatch system|outlier")
-    if kind not in ("system", "outlier"):
-        raise ConfigError(f"sweep mismatch kind must be 'system' or 'outlier', got {kind!r}")
     cfg = _scenario_from(settings)
+    levels = mismatch_grid(cfg.model, kind)   # also rejects a kind without a grid
     if args.levels is not None:
         try:
             levels = tuple(float(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --levels: {exc}") from exc
-    else:
-        levels = mismatch_grid(cfg.model, kind)
     reports = sweep_mismatch(cfg, kind, levels, _filters_from(settings))
     for path in emit_sweep(reports, args.out):
         print(f"wrote {path}")
@@ -154,6 +151,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if not models:
+        raise ConfigError("empty model list")
     reports = ablate(models, **_scenario_fields(_merge_settings(args)))
     paths = emit_ablation(reports, args.out)
     for path in paths:

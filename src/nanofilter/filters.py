@@ -82,16 +82,19 @@ def kf_predict(belief: GaussianBelief, u, model: StateSpaceModel) -> GaussianBel
     return GaussianBelief(x, cov)
 
 
+def _joseph_cov(P: np.ndarray, gain: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Joseph-form posterior covariance (I - K H) P (I - K H)^T + K R K^T, symmetrized."""
+    closure = identity(P.shape[0]) - gain @ H
+    return symmetrize(closure @ P @ closure.T + gain @ R @ gain.T)
+
+
 def _linear_update(prior: GaussianBelief, H: np.ndarray, R: np.ndarray,
                    innovation: np.ndarray) -> GaussianBelief:
     """Shared linear measurement update with Joseph-form covariance."""
     P = prior.cov
     S = symmetrize(H @ P @ H.T + R)
     gain = spd_solve(S, H @ P).T
-    mean = prior.mean + gain @ innovation
-    closure = identity(P.shape[0]) - gain @ H
-    cov = symmetrize(closure @ P @ closure.T + gain @ R @ gain.T)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(prior.mean + gain @ innovation, _joseph_cov(P, gain, H, R))
 
 
 def kf_update(
@@ -159,8 +162,7 @@ def iekf_update(
         xi = x_next
         if delta < ITER_GAMMA:
             break
-    closure = identity(P.shape[0]) - gain @ G
-    cov = symmetrize(closure @ P @ closure.T + gain @ R @ gain.T)
+    cov = _joseph_cov(P, gain, G, R)
     return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
 
 

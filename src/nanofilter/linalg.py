@@ -197,10 +197,14 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return chol_solve(cholesky_factor(a), np.asarray(b, dtype=float))
 
 
+def chol_inverse(factor: np.ndarray) -> np.ndarray:
+    """Inverse of ``L @ L.T`` from its lower Cholesky factor ``L``, symmetrized."""
+    return symmetrize(chol_solve(factor, identity(factor.shape[0])))
+
+
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, symmetrized."""
-    factor = cholesky_factor(a)
-    return symmetrize(chol_solve(factor, identity(factor.shape[0])))
+    return chol_inverse(cholesky_factor(a))
 
 
 def tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,9 @@ iterate N(x, P) and applies a natural-gradient step in the Gaussian family:
     P_inv'  = prior_inv + E[hess]                 (information/covariance step)
     x'      = x - P' @ (E[grad] + prior_inv @ (x - prior_mean))
 
+All likelihood derivatives, the point functions' included, come from one
+function, so the checks on :func:`grad_loglik` and the Hessians check the update.
+
 Two curvature choices are offered -- the exact likelihood Hessian (which can
 be indefinite and then kills the covariance step) and its Gauss-Newton part
 (PSD by construction) -- and two covariance mechanisms: the ``direct``
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
 from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update
-from .linalg import all_finite, chol_solve, cholesky_factor, identity, qr_upper, spd_inverse, symmetrize, tril_solve
+from .linalg import all_finite, chol_inverse, cholesky_factor, identity, qr_upper, spd_inverse, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
 
@@ -86,7 +89,7 @@ def loglik(x: np.ndarray, y: np.ndarray, model: StateSpaceModel) -> float:
 
 def grad_loglik(x: np.ndarray, y: np.ndarray, model: StateSpaceModel) -> np.ndarray:
     """Gradient of :func:`loglik` in x: G^T R^{-1} (g(x) - y)."""
-    return model.jac_g(x).T @ (model.R_inv @ (model.g(x) - np.asarray(y, float)))
+    return _at_point(x, y, model, exact=False)[0]
 
 
 def hess_loglik(x: np.ndarray, y: np.ndarray, model: StateSpaceModel) -> np.ndarray:
@@ -95,23 +98,34 @@ def hess_loglik(x: np.ndarray, y: np.ndarray, model: StateSpaceModel) -> np.ndar
     The second term flips sign with the residual, so this matrix can be
     indefinite.  Requires ``model.hess_g``.
     """
-    if model.hess_g is None:
-        raise MissingHessian(f"model {model.name!r} provides no measurement second derivatives")
-    G = model.jac_g(x)
-    weights = model.R_inv @ (np.asarray(y, float) - model.g(x))
-    return symmetrize(G.T @ model.R_inv @ G - np.tensordot(weights, model.hess_g(x), axes=1))
+    return _at_point(x, y, model, exact=True)[1]
 
 
 def hess_loglik_gn(x: np.ndarray, model: StateSpaceModel) -> np.ndarray:
     """Gauss-Newton Hessian G^T R^{-1} G; positive semidefinite by construction."""
-    G = model.jac_g(x)
-    return symmetrize(G.T @ model.R_inv @ G)
+    # The measurement moves only the gradient, so any one will do.
+    return _at_point(x, np.zeros(model.m), model, exact=False)[1]
+
+
+def _at_point(x, y, model: StateSpaceModel, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_expected_derivatives` under the point mass at ``x``: one point of weight 1."""
+    x = np.asarray(x, dtype=float)
+    weight = np.ones(1)
+    point = CollocationSet(x[None], weight, weight, x, np.zeros((x.shape[0], x.shape[0])))
+    return _expected_derivatives(point, np.asarray(y, dtype=float), model, exact)
 
 
 def _expected_derivatives(
     cset: CollocationSet, y: np.ndarray, model: StateSpaceModel, exact: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """E[grad] and E[hess] over the sigma points; ``g`` and ``jac_g`` see the whole stack."""
+    """E[grad] and E[hess] of :func:`loglik` over the points of ``cset``.
+
+    The only code that forms them; the ``*_loglik*`` functions take one point
+    of weight 1.  ``g``, ``jac_g`` and ``hess_g`` see the whole stack.  Raises
+    ``MissingHessian`` if ``exact`` and the model has no ``hess_g``.
+    """
+    if exact and model.hess_g is None:
+        raise MissingHessian(f"model {model.name!r} provides no measurement second derivatives")
     pts, w = cset.points, cset.mean_weights
     G = model.jac_g(pts)                              # (N, m, n)
     scaled = model.R_inv @ G                          # R^{-1} G, reused below
@@ -213,8 +227,7 @@ def nano_update(
     ``cfg.max_iters`` iterations, and returns the last iterate.
 
     ``prior.cov`` is factored once: the factor gives the prior information
-    matrix (solved against the identity and symmetrized, as
-    :func:`~nanofilter.linalg.spd_inverse` does) and, with ``init="prior"``,
+    matrix (by :func:`~nanofilter.linalg.chol_inverse`) and, with ``init="prior"``,
     is the first pass's sigma-point root.  The ``"cholesky-factor"`` update
     then starts from the Cholesky factor of that information matrix.  Each
     pass tests the likelihood derivatives and the new iterate for finiteness
@@ -231,16 +244,12 @@ def nano_update(
         If ``hessian="exact"`` but the model has no second derivatives.
     """
     cfg = cfg or NanoConfig()
-    if cfg.hessian == "exact" and model.hess_g is None:
-        raise MissingHessian(f"model {model.name!r} provides no measurement second derivatives")
     y = np.asarray(y, dtype=float)
     exact = cfg.hessian == "exact"
     factored = cfg.cov_update == "cholesky-factor"
 
-    eye = identity(prior.mean.shape[0])
     prior_factor = cholesky_factor(prior.cov)
-    prior_inv = chol_solve(prior_factor, eye)
-    prior_inv = 0.5 * (prior_inv + prior_inv.T)
+    prior_inv = chol_inverse(prior_factor)
     prior_mean = prior.mean
     if cfg.init == "ekf":
         start = ekf_update(prior, y, model)[0]
@@ -268,8 +277,7 @@ def nano_update(
             else:
                 # Indefinite curvature (exact-Hessian mode) dies here.
                 inv_factor = cholesky_factor(prior_inv + v_xx)
-            cov_next = chol_solve(inv_factor, eye)
-            cov_next = 0.5 * (cov_next + cov_next.T)
+            cov_next = chol_inverse(inv_factor)
 
             mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior_mean))
             if not all_finite(mean_next, cov_next):

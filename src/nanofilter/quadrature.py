@@ -68,10 +68,8 @@ class SigmaPointRule:
 def parse_rule(text: str) -> SigmaPointRule:
     """Parse a rule spelled as ``cubature``, ``unscented`` or ``gh:<p>``."""
     text = text.strip()
-    if text == "cubature":
-        return SigmaPointRule("cubature")
-    if text == "unscented":
-        return SigmaPointRule("unscented")
+    if text in ("cubature", "unscented"):
+        return SigmaPointRule(text)
     if text.startswith("gh:"):
         try:
             order = int(text[3:])
@@ -180,15 +178,21 @@ def _apply(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndar
     return vals
 
 
+def _moments(
+    cset: CollocationSet, h: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and covariance of ``h(x)``, and each point's deviation from that mean."""
+    vals = _apply(h, cset.points)
+    mean = cset.mean_weights @ vals
+    dev = vals - mean
+    return mean, symmetrize((dev * cset.cov_weights[:, None]).T @ dev), dev
+
+
 def propagate_moments(
     cset: CollocationSet, h: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of ``h(x)`` for ``x ~`` the set's Gaussian."""
-    vals = _apply(h, cset.points)
-    mean = cset.mean_weights @ vals
-    dev = vals - mean
-    cov = symmetrize((dev * cset.cov_weights[:, None]).T @ dev)
-    return mean, cov
+    return _moments(cset, h)[:2]
 
 
 def propagate_with_cross(
@@ -198,11 +202,7 @@ def propagate_with_cross(
 
     Returns ``(mean, cov, cross)`` with ``cross[i, j] = Cov(x_i, h(x)_j)``.
     """
-    vals = _apply(h, cset.points)
-    mean = cset.mean_weights @ vals
-    dev = vals - mean
-    xdev = cset.points - cset.center
-    cov = symmetrize((dev * cset.cov_weights[:, None]).T @ dev)
-    cross = (xdev * cset.cov_weights[:, None]).T @ dev
+    mean, cov, dev = _moments(cset, h)
+    cross = ((cset.points - cset.center) * cset.cov_weights[:, None]).T @ dev
     return mean, cov, cross
 

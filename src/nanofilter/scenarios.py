@@ -77,7 +77,10 @@ class ScenarioConfig:
 
 def mismatch_grid(model: str, kind: str) -> tuple[float, ...]:
     """The published levels of a ``system`` or ``outlier`` mismatch for one model."""
-    return (SYSTEM_ERROR_GRID if kind == "system" else OUTLIER_GRID)[model]
+    grids = {"system": SYSTEM_ERROR_GRID, "outlier": OUTLIER_GRID}
+    if kind not in grids:
+        raise UnknownScenario(f"mismatch kind {kind!r} has no level grid; expected one of {tuple(grids)}")
+    return grids[kind][model]
 
 
 def _check_level(model: str, kind: str, level: float) -> None:
@@ -109,38 +112,29 @@ def scenario_models(cfg: ScenarioConfig) -> ScenarioSetup:
     offset = cfg.mismatch_level if cfg.mismatch_kind == "system" else 0.0
     outlier_prob = cfg.mismatch_level if cfg.mismatch_kind == "outlier" else 0.0
 
+    # outliers(p): the model's contaminated measurement noise at outlier probability p
     if cfg.model == "fm":
         truth = fm_demodulator()
         filt = fm_demodulator(beta=100.0 * (1.0 + offset))
         process = gaussian_noise(truth.Q)
-        if outlier_prob > 0.0:
-            measurement = mixture_outlier_noise(outlier_prob, np.eye(2), 100.0 * np.eye(2))
-        else:
-            measurement = gaussian_noise(truth.R)
+        outliers = lambda p: mixture_outlier_noise(p, np.eye(2), 100.0 * np.eye(2))
         init_mean, init_cov = np.zeros(2), np.eye(2)
 
     elif cfg.model == "attitude":
         truth = attitude_model()
         filt = attitude_model(dt=0.01 * (1.0 + offset))
         process = laplace_noise(np.full(3, ATTITUDE_LAPLACE_SCALE))
-        if outlier_prob > 0.0:
-            measurement = beta_outlier_noise(outlier_prob, 1.2, 1.5, 1e-4 * np.eye(6))
-        else:
-            measurement = gaussian_noise(truth.R)
+        outliers = lambda p: beta_outlier_noise(p, 1.2, 1.5, 1e-4 * np.eye(6))
         init_mean, init_cov = np.zeros(3), 1e-3 * np.eye(3)
 
     else:  # duffing
         truth = duffing_model()
         filt = duffing_model(natural_freq=1.0 * (1.0 + offset))
         process = gaussian_noise(truth.Q)
-        if outlier_prob > 0.0:
-            measurement = mixture_outlier_noise(
-                outlier_prob, np.array([[1e-2]]), np.array([[1.0]])
-            )
-        else:
-            measurement = gaussian_noise(truth.R)
+        outliers = lambda p: mixture_outlier_noise(p, np.array([[1e-2]]), np.array([[1.0]]))
         init_mean, init_cov = np.zeros(2), np.eye(2)
 
+    measurement = outliers(outlier_prob) if outlier_prob > 0.0 else gaussian_noise(truth.R)
     return ScenarioSetup(
         truth=truth,
         filter_view=filt,

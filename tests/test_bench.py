@@ -29,8 +29,9 @@ from nanofilter.errors import (
     UnknownLevel,
     UnknownScenario,
 )
+from nanofilter.filters import SINGLE_PASS, GaussianBelief
 from nanofilter.quadrature import parse_rule
-from nanofilter.scenarios import ScenarioConfig, scenario_models
+from nanofilter.scenarios import ScenarioConfig, mismatch_grid, scenario_models
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,9 @@ def test_trial_times_failed_attempt():
 
 
 def test_nan_measurement_diverges_the_trial(monkeypatch):
-    # one NaN measurement leaves the posterior mean NaN; the trial must count
-    # as diverged rather than carry a NaN RMSE into the aggregates
+    # filter_step refuses a NaN measurement with NonFiniteMeasurement; the
+    # trial must count as diverged rather than carry a NaN RMSE into the
+    # aggregates
     from nanofilter import bench
 
     monkeypatch.setenv("NANO_BENCH_THREADS", "1")
@@ -147,6 +149,28 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
         st = rep.stats(fid)
         assert st.divergences == 1, fid
         assert np.isfinite(st.mean_rmse), fid
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2e6, -2e6])
+def test_mean_past_the_limit_diverges_the_trial(monkeypatch, bad):
+    # run_filter's own check on the posterior mean; no filter reaches it
+    # without raising first, so a stubbed step puts the bad mean at t = 2.
+    # The step that crosses the limit counts in `steps`.
+    from nanofilter import bench
+
+    seen = []
+
+    def step(filter_id, belief, u, y, model, t=0, rule=None):
+        seen.append(t)
+        mean = np.full(2, bad) if t == 2 else belief.mean
+        return GaussianBelief(mean, belief.cov), SINGLE_PASS
+
+    monkeypatch.setattr(bench, "filter_step", step)
+    cfg = ScenarioConfig(model="duffing", trials=1, horizon=10, seed=0)
+    res = run_trial(cfg, "ekf", 0, make_trajectory(cfg, 0))
+    assert seen == [0, 1, 2]
+    assert res.diverged and res.rmse is None
+    assert res.steps == 3
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +274,17 @@ def test_run_monte_carlo_rejects_unknown_filter(monkeypatch):
     assert calls == []
 
 
+def test_run_monte_carlo_rejects_repeated_filter(monkeypatch):
+    import nanofilter.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
+    cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
+    with pytest.raises(ValueError, match="repeated filter id"):
+        run_monte_carlo(cfg, ("ekf", "iekf", "ekf"))
+    assert calls == []
+
+
 def test_bad_rule_rejected_before_any_trajectory(monkeypatch):
     import nanofilter.bench as bench
 
@@ -347,6 +382,13 @@ def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error):
     with pytest.raises(error):
         run()
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["none", "bogus"])
+def test_mismatch_grid_rejects_a_kind_without_a_grid(kind):
+    assert mismatch_grid("fm", "outlier") == (0.0, 0.01, 0.04, 0.07, 0.1)
+    with pytest.raises(UnknownScenario, match="no level grid"):
+        mismatch_grid("fm", kind)
 
 
 def test_ablate_structure(tmp_path):

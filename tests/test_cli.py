@@ -84,6 +84,8 @@ def test_run_timing_column(tmp_path):
         ["sweep", "--model", "duffing", "--mismatch", "none"],
         ["ablate", "--models", "nosuch"],
         ["sweep", "--model", "duffing", "--mismatch", "outlier", "--filter", "bogus"],
+        ["ablate", "--models", ","],                          # empty model list
+        ["run", "--model", "duffing", "--filter", "ekf,ekf"],  # repeated filter id
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):

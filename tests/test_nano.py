@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from nanofilter.errors import MissingHessian, PDFailure
+from nanofilter.errors import MissingHessian, NotPositiveDefinite, PDFailure
 from nanofilter.filters import GaussianBelief, kf_step, mm_predict
 from nanofilter.linalg import cholesky_factor, symmetrize
 from nanofilter.models import StateSpaceModel, linear_model, simulate_trajectory
@@ -16,6 +16,7 @@ from nanofilter.nano import (
     loglik,
     nano_update,
     _expected_derivatives,
+    _sigma_root,
 )
 from nanofilter.quadrature import SigmaPointRule, generate_points, parse_rule
 from nanofilter.scenarios import ScenarioConfig, scenario_models
@@ -118,12 +119,29 @@ def test_expected_derivatives_equal_a_per_point_loop(exact):
         resid = model.g(p) - y
         v_x += w * (scaled.T @ resid)
         h = G.T @ scaled
+        # the point functions are the same code at one point of weight 1
+        assert np.array_equal(grad_loglik(p, y, model), scaled.T @ resid)
+        assert np.array_equal(hess_loglik_gn(p, model), symmetrize(h))
         if exact:
             h = h + np.tensordot(model.R_inv @ resid, model.hess_g(p), axes=1)
+            assert np.array_equal(hess_loglik(p, y, model), symmetrize(h))
         v_xx += w * h
     got_x, got_xx = _expected_derivatives(cset, y, model, exact)
     assert np.array_equal(got_x, v_x)
     assert np.array_equal(got_xx, symmetrize(v_xx))
+
+
+def test_sigma_root_falls_back_to_the_inverse_factor():
+    # a covariance iterate that no longer factors takes its root from the
+    # factor of the inverse covariance: root root^T = (L L^T)^{-1}
+    inv_factor = cholesky_factor(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    root = _sigma_root(np.array([[1.0, 2.0], [2.0, 1.0]]), inv_factor)
+    np.testing.assert_allclose(root @ root.T, np.linalg.inv(inv_factor @ inv_factor.T), rtol=1e-12)
+
+
+def test_sigma_root_without_inverse_factor_reraises():
+    with pytest.raises(NotPositiveDefinite):
+        _sigma_root(np.array([[1.0, 2.0], [2.0, 1.0]]), None)
 
 
 def _counting_hess_g(model):

@@ -320,12 +320,12 @@ def _stub_iterate_cov(monkeypatch, cov):
     The prior of :func:`_linear_setup` has the identity as its factor; every
     other ``chol_solve`` is the iterate's.
     """
-    inner = nano.chol_solve
+    inner = linalg.chol_solve
 
     def stub(factor, b):
         return inner(factor, b) if np.array_equal(factor, np.eye(2)) else cov.copy()
 
-    monkeypatch.setattr(nano, "chol_solve", stub)
+    monkeypatch.setattr(linalg, "chol_solve", stub)
 
 
 def _linear_setup(offset=0.0):
