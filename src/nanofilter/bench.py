@@ -3,7 +3,8 @@
 Trials are paired: trial ``i`` of every filter replays the identical simulated
 trajectory, because the trajectory is derived only from the scenario config
 and the trial index (seed = config seed + trial index, a fresh PCG64 stream).
-All trials of a run are simulated up front, together, before any filter runs.
+All trials of a run are simulated together up front; then they run one after
+another, on the calling thread, each through every filter.
 A trial counts as diverged when the filter raises an estimation error, a
 natural-gradient update reports a positive-definiteness failure, or any mean
 component is NaN or exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -202,6 +202,10 @@ class BenchmarkReport:
 
 
 def _worker_count() -> int:
+    """``NANO_BENCH_THREADS`` (0 or unset: one per CPU); the harness no longer reads it.
+
+    Only perfbench's serial-harness guard calls it; ROADMAP item 8 deletes both.
+    """
     raw = os.environ.get("NANO_BENCH_THREADS", "0")
     try:
         count = int(raw)
@@ -220,7 +224,7 @@ def run_monte_carlo(
 
     The config and the filter ids (known, none repeated) are validated first;
     then every trial's trajectory is simulated up front in one batched call
-    (:func:`make_trajectories`), and each filter runs on each of them.
+    (:func:`make_trajectories`), and the trials run in order, each through every filter.
     """
     for fid in filter_ids:
         lookup_filter(fid)   # an unknown id raises before anything is simulated
@@ -233,19 +237,10 @@ def run_monte_carlo(
     # Every filter replays the same trajectories, so each trial is simulated
     # once, all of them together before any filter runs.
     trajectories = make_trajectories(cfg, setup) if filter_ids else []
-
-    def run_every_filter(trial: int) -> list[TrialResult]:
-        return [run_trial(cfg, fid, trial, trajectories[trial], setup) for fid in filter_ids]
-
-    trials = range(len(trajectories))
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_every_filter, trials))
-    else:
-        rows = [run_every_filter(trial) for trial in trials]
-
-    results = {fid: [row[k] for row in rows] for k, fid in enumerate(filter_ids)}
+    results = {fid: [] for fid in filter_ids}
+    for trial, traj in enumerate(trajectories):
+        for fid in filter_ids:
+            results[fid].append(run_trial(cfg, fid, trial, traj, setup))
     return BenchmarkReport(scenario=cfg, filter_ids=tuple(filter_ids), results=results)
 
 
@@ -262,10 +257,12 @@ def sweep_mismatch(
     """Run the same Monte Carlo at each mismatch level of one kind, in level order.
 
     Level 0 reproduces the nominal scenario (shared base seed).  An off-grid
-    level raises UnknownLevel before any level runs; a filter diverging never
+    or repeated level raises before any level runs; a filter diverging never
     aborts the sweep, the cell just reports its divergences.
     """
     cfgs = [replace(base, mismatch_kind=kind, mismatch_level=float(level)) for level in levels]
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"repeated level in {tuple(levels)}")
     return [run_monte_carlo(cfg, filter_ids) for cfg in cfgs]
 
 
@@ -276,9 +273,11 @@ def ablate(models: tuple[str, ...] = MODEL_IDS, **fields) -> list[BenchmarkRepor
     """Compare the natural-gradient update variants on each benchmark model.
 
     ``fields`` are further :class:`ScenarioConfig` fields shared by every model.
-    Every model's config is validated before the first one runs.
+    Every model's config is validated, and a repeated model rejected, before any runs.
     """
     cfgs = [ScenarioConfig(model=m, **fields) for m in models]
+    if len(set(models)) != len(models):
+        raise ValueError(f"repeated model in {tuple(models)}")
     return [run_monte_carlo(cfg, ABLATION_VARIANTS) for cfg in cfgs]
 
 

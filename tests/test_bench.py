@@ -131,7 +131,6 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
     # aggregates
     from nanofilter import bench
 
-    monkeypatch.setenv("NANO_BENCH_THREADS", "1")
     simulate = bench.make_trajectories
 
     def with_nan(cfg, setup=None):
@@ -237,7 +236,6 @@ def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
     # any filter runs, and every filter replays trial i's trajectory.
     from nanofilter import bench
 
-    monkeypatch.setenv("NANO_BENCH_THREADS", "1")
     simulate, run, events = bench.make_trajectories, bench.run_trial, []
     batches = []
 
@@ -330,16 +328,25 @@ def test_worker_count_env(monkeypatch):
         _worker_count()
 
 
-def test_threaded_matches_serial(monkeypatch):
-    cfg = ScenarioConfig(model="duffing", trials=5, horizon=15, seed=2)
-    monkeypatch.setenv("NANO_BENCH_THREADS", "1")
-    serial = run_monte_carlo(cfg, ("ekf", "nano"))
+def test_run_monte_carlo_runs_on_the_calling_thread(monkeypatch):
+    # The harness starts no threads, whatever NANO_BENCH_THREADS says, so an
+    # update's wall-clock time never includes another trial's turn.
+    import threading
+
+    from nanofilter import bench
+
     monkeypatch.setenv("NANO_BENCH_THREADS", "4")
-    threaded = run_monte_carlo(cfg, ("ekf", "nano"))
-    for fid in ("ekf", "nano"):
-        a = [r.rmse for r in serial.results[fid]]
-        b = [r.rmse for r in threaded.results[fid]]
-        assert a == b  # trial results do not depend on scheduling
+    run, calls = bench.run_trial, []
+
+    def ran(cfg, fid, trial, *args):
+        calls.append((threading.get_ident(), fid, trial))
+        return run(cfg, fid, trial, *args)
+
+    monkeypatch.setattr(bench, "run_trial", ran)
+    cfg = ScenarioConfig(model="duffing", trials=4, horizon=10, seed=2)
+    run_monte_carlo(cfg, ("ekf", "nano"))
+    caller = threading.get_ident()
+    assert calls == [(caller, fid, trial) for trial in range(4) for fid in ("ekf", "nano")]
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +376,22 @@ def test_sweep_divergence_never_aborts():
         assert report.stats("nano").divergences == 0
 
 
-@pytest.mark.parametrize("run, error", [
+@pytest.mark.parametrize("run, error, match", [
     (lambda: sweep_mismatch(ScenarioConfig(model="duffing", trials=2, horizon=5),
-                            "outlier", (0.0, 0.17), ("ekf",)), UnknownLevel),
-    (lambda: ablate(models=("duffing", "nosuch"), trials=2, horizon=5), UnknownScenario),
-], ids=["sweep-off-grid-level", "ablate-unknown-model"])
-def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error):
+                            "outlier", (0.0, 0.17), ("ekf",)), UnknownLevel, None),
+    (lambda: ablate(models=("duffing", "nosuch"), trials=2, horizon=5), UnknownScenario, None),
+    (lambda: sweep_mismatch(ScenarioConfig(model="duffing", trials=1, horizon=5),
+                            "outlier", (0.03, 0.0, 0.03), ("ekf",)), ValueError, "repeated level"),
+    (lambda: ablate(models=("duffing", "fm", "duffing"), trials=1, horizon=5),
+     ValueError, "repeated model"),
+], ids=["sweep-off-grid-level", "ablate-unknown-model",
+        "sweep-repeated-level", "ablate-repeated-model"])
+def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error, match):
     import nanofilter.bench as bench
 
     calls = []
     monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         run()
     assert calls == []
 

@@ -86,6 +86,8 @@ def test_run_timing_column(tmp_path):
         ["sweep", "--model", "duffing", "--mismatch", "outlier", "--filter", "bogus"],
         ["ablate", "--models", ","],                          # empty model list
         ["run", "--model", "duffing", "--filter", "ekf,ekf"],  # repeated filter id
+        ["ablate", "--models", "duffing,duffing"],            # repeated model
+        ["sweep", "--model", "duffing", "--mismatch", "outlier", "--levels", "0.03,0.03"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
