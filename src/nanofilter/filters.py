@@ -128,9 +128,9 @@ def ekf_update(
     prior: GaussianBelief, y, model: StateSpaceModel
 ) -> tuple[GaussianBelief, UpdateDiagnostics]:
     """Measurement update linearized at the prior mean (Joseph form)."""
-    G = model.jac_g(prior.mean)
-    innovation = np.asarray(y, float) - model.g(prior.mean)
-    return _linear_update(prior, G, model.R, innovation), SINGLE_PASS
+    lin = model.jac_g(prior.mean)
+    innovation = np.asarray(y, float) - lin.value
+    return _linear_update(prior, lin.jac, model.R, innovation), SINGLE_PASS
 
 
 def iekf_update(
@@ -142,8 +142,8 @@ def iekf_update(
     """Iterated EKF update: Gauss-Newton relinearization of the MAP problem.
 
     Stops once the mean step is shorter than ``ITER_GAMMA`` or after
-    ``max_iters`` passes.  With ``max_iters=1`` this is exactly
-    :func:`ekf_update`.
+    ``max_iters`` passes; each pass makes one ``jac_g`` call, which also
+    gives ``g``.  With ``max_iters=1`` this is exactly :func:`ekf_update`.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -151,12 +151,13 @@ def iekf_update(
     x0, P, R = prior.mean, prior.cov, model.R
     xi = x0
     for iterations in range(1, max_iters + 1):
-        G = model.jac_g(xi)
+        lin = model.jac_g(xi)
+        G = lin.jac
         GP = G @ P
         S = GP @ G.T + R
         S = 0.5 * (S + S.T)
         gain = spd_solve(S, GP).T
-        x_next = x0 + gain @ (y - model.g(xi) - G @ (x0 - xi))
+        x_next = x0 + gain @ (y - lin.value - G @ (x0 - xi))
         step = x_next - xi
         delta = math.sqrt(step.dot(step))
         xi = x_next

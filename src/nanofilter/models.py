@@ -10,10 +10,13 @@ an exact linear form).  ``Q``/``R`` are the *filter's* Gaussian noise
 covariances; what the simulator actually draws is described separately by
 :class:`NoiseSpec`, so model mismatch and heavy-tailed truth are expressible.
 
-``f``, ``g``, ``jac_g`` and ``hess_g`` map a stack of states ``x`` of shape
-``(..., n)`` to ``(..., n)``, ``(..., m)``, ``(..., m, n)`` and
-``(..., m, n, n)``; a single ``(n,)`` state is the empty-stack case.  Sigma-point
-filters evaluate a whole point set with one call.  ``jac_f`` takes one state.
+``f`` and ``g`` map a stack of states ``x`` of shape ``(..., n)`` to
+``(..., n)`` and ``(..., m)``; a single ``(n,)`` state is the empty-stack case.
+``jac_g`` returns a :class:`MeasurementJacobian` and ``hess_g`` a
+:class:`MeasurementHessian`: ``g``'s value with its ``(..., m, n)`` Jacobian
+(and ``(..., m, n, n)`` second derivatives), all from one evaluation, so an
+update needs one model call per point set.  Sigma-point filters evaluate a
+whole point set with one call.  ``jac_f`` takes one state.
 
 :func:`simulate_trajectory` advances all trials of a run together, so the
 simulator calls ``f`` once per step on the ``(T, n)`` stack of trial states.
@@ -25,7 +28,7 @@ simulated with it.  One trajectory is the T = 1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +38,21 @@ from .linalg import all_finite, cholesky_factor, spd_inverse, symmetrize
 Array = np.ndarray
 Dynamics = Callable[[Array, Array | None, int], Array]
 Measurement = Callable[[Array], Array]
+
+
+class MeasurementJacobian(NamedTuple):
+    """What ``jac_g`` returns: ``g(x)`` and its Jacobian at the same states."""
+
+    value: Array    # (..., m), equal to g(x) bit for bit
+    jac: Array      # (..., m, n)
+
+
+class MeasurementHessian(NamedTuple):
+    """What ``hess_g`` returns: ``g(x)``, its Jacobian and its second derivatives."""
+
+    value: Array    # (..., m), equal to g(x) bit for bit
+    jac: Array      # (..., m, n), equal to jac_g(x).jac bit for bit
+    hess: Array     # (..., m, n, n)
 
 
 @dataclass(frozen=True)
@@ -52,12 +70,15 @@ class StateSpaceModel:
 
     ``f(x, u, t)`` and ``jac_f(x, u, t)`` take ``u=None`` when ``l == 0``.
     ``f``, ``g``, ``jac_g`` and ``hess_g`` accept a stack ``x`` of shape
-    ``(..., n)`` and return one result per state, with the stack shape leading:
-    ``(..., n)``, ``(..., m)``, ``(..., m, n)`` and ``(..., m, n, n)``.
-    ``jac_f`` takes a single ``(n,)`` state.  ``hess_g`` holds the second
-    derivatives of each measurement component and may be omitted for filters
-    that never ask.  Treat instances as immutable; ``R_inv`` is derived once at
-    construction.
+    ``(..., n)`` and return one result per state, with the stack shape leading.
+    ``f`` and ``g`` return ``(..., n)`` and ``(..., m)`` arrays.  ``jac_g``
+    returns a :class:`MeasurementJacobian` ``(value, jac)`` and ``hess_g`` a
+    :class:`MeasurementHessian` ``(value, jac, hess)``; ``value`` is ``g(x)``
+    and ``jac``/``hess`` are ``(..., m, n)``/``(..., m, n, n)``.  Updates read
+    the fields by name, so a ``jac_g`` that returns a bare array fails at its
+    first use.  ``jac_f`` takes a single ``(n,)`` state.  ``hess_g`` may be
+    omitted for filters that never ask for second derivatives.  Treat
+    instances as immutable; ``R_inv`` is derived once at construction.
     """
 
     name: str
@@ -66,11 +87,11 @@ class StateSpaceModel:
     f: Dynamics
     g: Measurement
     jac_f: Callable[[Array, Array | None, int], Array]
-    jac_g: Callable[[Array], Array]
+    jac_g: Callable[[Array], MeasurementJacobian]
     Q: Array
     R: Array
     l: int = 0
-    hess_g: Callable[[Array], Array] | None = None
+    hess_g: Callable[[Array], MeasurementHessian] | None = None
     control: Callable[[int], Array] | None = None
     linear: LinearParts | None = None
     R_inv: Array = field(init=False, repr=False)
@@ -111,6 +132,9 @@ def linear_model(
     def g(x):
         return (H @ x[..., None])[..., 0]
 
+    def jac(x):
+        return np.broadcast_to(H, x.shape[:-1] + H.shape)
+
     return StateSpaceModel(
         name=name,
         n=n,
@@ -119,8 +143,8 @@ def linear_model(
         f=f,
         g=g,
         jac_f=lambda x, u, t: A,
-        jac_g=lambda x: np.broadcast_to(H, x.shape[:-1] + H.shape),
-        hess_g=lambda x: np.zeros(x.shape[:-1] + (m, n, n)),
+        jac_g=lambda x: MeasurementJacobian(g(x), jac(x)),
+        hess_g=lambda x: MeasurementHessian(g(x), jac(x), np.zeros(x.shape[:-1] + (m, n, n))),
         Q=Q,
         R=R,
         linear=LinearParts(A=A, H=H, B=B),

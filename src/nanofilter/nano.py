@@ -121,26 +121,29 @@ def _expected_derivatives(
     """E[grad] and E[hess] of :func:`loglik` over the points of ``cset``.
 
     The only code that forms them; the ``*_loglik*`` functions take one point
-    of weight 1.  ``g``, ``jac_g`` and ``hess_g`` see the whole stack.  Raises
-    ``MissingHessian`` if ``exact`` and the model has no ``hess_g``.
+    of weight 1.  One model call on the whole stack gives every value the
+    pass needs: ``jac_g`` in Gauss-Newton mode, ``hess_g`` if ``exact``, each
+    returning ``g`` with its derivatives.  Raises ``MissingHessian`` if
+    ``exact`` and the model has no ``hess_g``.
     """
     if exact and model.hess_g is None:
         raise MissingHessian(f"model {model.name!r} provides no measurement second derivatives")
     pts, w = cset.points, cset.mean_weights
-    G = model.jac_g(pts)                              # (N, m, n)
+    lin = model.hess_g(pts) if exact else model.jac_g(pts)
+    G = lin.jac                                       # (N, m, n)
     scaled = model.R_inv @ G                          # R^{-1} G, reused below
-    resid = model.g(pts) - y                          # (N, m)
+    resid = lin.value - y                             # (N, m)
     # Weighted sums over axis 0 add the points in order, as a loop would.
     v_x = (w[:, None] * (np.swapaxes(scaled, -1, -2) @ resid[..., None])[..., 0]).sum(axis=0)
     h = np.swapaxes(G, -1, -2) @ scaled               # (N, n, n)
     if exact:
-        # hess_g sees the whole stack, like g and jac_g, but the contraction
-        # with each point's weighted residual stays per point.  Batched too,
-        # the term would cost almost nothing, and nano-nopd's duffing updates,
-        # which fail after a few passes, would then time faster than nano's
-        # converged ones: acceptance criterion 4's timing clause compares pass
-        # counts, not the cost of curvature (ROADMAP item 5 (a)).
-        hess = model.hess_g(pts)                      # (N, m, n, n)
+        # hess_g sees the whole stack, but the contraction with each point's
+        # weighted residual stays per point.  Batched too, the term would cost
+        # almost nothing, and nano-nopd's duffing updates, which fail after a
+        # few passes, would then time faster than nano's converged ones:
+        # acceptance criterion 4's timing clause compares pass counts, not the
+        # cost of curvature (ROADMAP item 5 (a)).
+        hess = lin.hess                               # (N, m, n, n)
         for i in range(len(pts)):
             h[i] += np.tensordot(model.R_inv @ resid[i], hess[i], axes=1)
     v_xx = (w[:, None, None] * h).sum(axis=0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GimbalLock
-from .models import StateSpaceModel
+from .models import MeasurementHessian, MeasurementJacobian, StateSpaceModel
 
 
 def _component(x: np.ndarray, i: int):
@@ -34,6 +34,19 @@ def _component(x: np.ndarray, i: int):
     ``np.power``/``np.square`` to give the same bits for one state and a stack.
     """
     return x[..., i][()]
+
+
+def _measurement_callables(measure) -> dict:
+    """``g``, ``jac_g`` and ``hess_g`` of a model from its ``measure(x, order)``.
+
+    ``measure`` returns ``[g, jac, hess][:order + 1]`` from one evaluation, so
+    each callable shares its trig with the value it differentiates.
+    """
+    return {
+        "g": lambda x: measure(x, 0)[0],
+        "jac_g": lambda x: MeasurementJacobian(*measure(x, 1)),
+        "hess_g": lambda x: MeasurementHessian(*measure(x, 2)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +74,25 @@ def fm_demodulator(beta: float = 100.0, matrix_mode: str = "literal") -> StateSp
     A = np.array([[decay, 0.0], [a21, 0.1]])
     root2 = np.sqrt(2.0)
 
-    def g(x):
-        out = np.empty(x.shape[:-1] + (2,))
-        out[..., 0] = root2 * np.sin(x[..., 1])
-        out[..., 1] = root2 * np.cos(x[..., 1])
-        return out
-
-    def jac_g(x):
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = root2 * np.cos(x[..., 1])
-        out[..., 1, 1] = -root2 * np.sin(x[..., 1])
-        return out
-
-    def hess_g(x):
-        out = np.zeros(x.shape[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = -root2 * np.sin(x[..., 1])
-        out[..., 1, 1, 1] = -root2 * np.cos(x[..., 1])
+    def measure(x, order):
+        """``[g, jac, hess][:order + 1]`` from one sin/cos of the phase."""
+        # -(root2 * s) has the bits of (-root2) * s: rounding ignores the sign.
+        s, c = root2 * np.sin(x[..., 1]), root2 * np.cos(x[..., 1])
+        stack = x.shape[:-1]
+        value = np.empty(stack + (2,))
+        value[..., 0] = s
+        value[..., 1] = c
+        out = [value]
+        if order >= 1:
+            jac = np.zeros(stack + (2, 2))
+            jac[..., 0, 1] = c
+            jac[..., 1, 1] = -s
+            out.append(jac)
+        if order >= 2:
+            hess = np.zeros(stack + (2, 2, 2))
+            hess[..., 0, 1, 1] = -s
+            hess[..., 1, 1, 1] = -c
+            out.append(hess)
         return out
 
     return StateSpaceModel(
@@ -84,10 +100,8 @@ def fm_demodulator(beta: float = 100.0, matrix_mode: str = "literal") -> StateSp
         n=2,
         m=2,
         f=lambda x, u, t: (A @ x[..., None])[..., 0],
-        g=g,
         jac_f=lambda x, u, t: A,
-        jac_g=jac_g,
-        hess_g=hess_g,
+        **_measurement_callables(measure),
         Q=np.diag([0.01, 1.0]),
         R=np.eye(2),
     )
@@ -104,44 +118,65 @@ GIMBAL_COS_TOL = 1e-6
 ATTITUDE_LAPLACE_SCALE = 1e-5
 
 
-# Row/column pair each elementary rotation acts on, ordered so the block
-# reads [[c, -s], [s, c]].
-_ROTATION_PLANE = ((1, 2), (2, 0), (0, 1))
+# Derivative orders (pitch, roll, yaw) of the rotation product behind each
+# attitude output: g, the three Jacobian columns, then the Hessian pairs (a, b)
+# with a <= b.  The first 1, 4 or 10 rows serve derivative order 0, 1 or 2.
+_ATTITUDE_ORDERS = np.array([
+    (0, 0, 0),
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+])
+_ATTITUDE_PRODUCTS = (1, 4, 10)
+# Row of _ATTITUDE_ORDERS that holds Hessian entry (a, b).
+_HESSIAN_PRODUCT = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])
+
+# The factors Rz(yaw), Ry(pitch), Rx(roll): the state index of each angle,
+# the axis each turns about and the (row, col) pair of its plane, ordered so
+# the block reads [[c, -s], [s, c]].
+_FACTOR_STATE = (2, 0, 1)
+_FACTOR_AXIS = np.array([2, 1, 0])
+_FACTOR_PLANE = np.array([(0, 1), (2, 0), (1, 2)])
+# The k-th derivative of (cos, sin) is its k-th quarter turn, so the block's
+# entries (c, -s, s, c) at order k are these picks from (c, s, -c, -s).
+_BLOCK_SOURCE = np.array([[0, 3, 1, 0], [3, 2, 0, 3], [2, 1, 3, 2]])
 
 
-def _euler_rotations(theta: np.ndarray, order: int = 0) -> list[list[np.ndarray]]:
-    """Rz(yaw), Ry(pitch), Rx(roll) and their angle-derivatives up to ``order``.
+def _factor_index(orders: np.ndarray) -> tuple:
+    """Where the factors of the products ``orders`` take their entries, and put them."""
+    factor, plane = np.arange(3)[:, None, None], _FACTOR_PLANE[:, None, :]
+    order = orders[:, _FACTOR_STATE].T                # (3, Q): each factor's order
+    put = (factor, np.arange(len(orders))[:, None], Ellipsis,
+           plane[..., [0, 0, 1, 1]], plane[..., [0, 1, 0, 1]])
+    take = (factor, _BLOCK_SOURCE[order])
+    # Only an underived factor keeps the 1 on its axis.
+    f, q = np.nonzero(order == 0)
+    ones = (f, q, Ellipsis, _FACTOR_AXIS[f], _FACTOR_AXIS[f])
+    return put, take, ones
 
-    ``theta`` has shape (..., 3).  Returns ``[rz, ry, rx]``, where ``rz[k]``
-    is the ``k``-th derivative of Rz, of shape (..., 3, 3).  Each angle's
-    cos/sin is taken once: differentiating rotates the (cos, sin) pair and
-    kills the constant 1, so every order fills the same plane.
+
+_FACTOR_INDEX = [_factor_index(_ATTITUDE_ORDERS[:q]) for q in _ATTITUDE_PRODUCTS]
+
+
+def _euler_rotations(theta: np.ndarray, order: int = 0) -> np.ndarray:
+    """The factors Rz(yaw), Ry(pitch), Rx(roll) of every attitude product.
+
+    ``theta`` has shape (..., 3).  Returns ``[rz, ry, rx]`` as one array of
+    shape (3, Q, ..., 3, 3), with Q = ``_ATTITUDE_PRODUCTS[order]``: ``rz[q]``
+    is Rz differentiated as often as row ``q`` of ``_ATTITUDE_ORDERS`` says,
+    so order 0 gives the rotations themselves.  Each angle's cos/sin is taken
+    once; the derivatives only move and negate them.
     """
-    rotations = []
-    # (axis, state index): yaw about z, pitch about y, roll about x.
-    for axis, index in ((2, 2), (1, 0), (0, 1)):
+    put, take, ones = _FACTOR_INDEX[order]
+    trig = []
+    for index in _FACTOR_STATE:
         angle = _component(theta, index)
         c, s = np.cos(angle), np.sin(angle)
-        i, j = _ROTATION_PLANE[axis]
-        derivs = []
-        for _ in range(order + 1):
-            minus_s = -s
-            out = np.zeros(c.shape + (3, 3))
-            out[..., i, i] = c
-            out[..., i, j] = minus_s
-            out[..., j, i] = s
-            out[..., j, j] = c
-            derivs.append(out)
-            c, s = minus_s, c
-        derivs[0][..., axis, axis] = 1.0
-        rotations.append(derivs)
-    return rotations
-
-
-def _body_rotation(theta: np.ndarray) -> np.ndarray:
-    """Rz(yaw) Ry(pitch) Rx(roll); ``theta`` (..., 3) gives (..., 3, 3)."""
-    rz, ry, rx = _euler_rotations(theta)
-    return rz[0] @ ry[0] @ rx[0]
+        trig.append((c, s, -c, -s))
+    trig = np.array(trig)                             # (3, 4, ...)
+    out = np.zeros((3, _ATTITUDE_PRODUCTS[order]) + trig.shape[2:] + (3, 3))
+    out[put] = trig[take]
+    out[ones] = 1.0
+    return out
 
 
 def _rate_matrix(theta: np.ndarray) -> np.ndarray:
@@ -199,39 +234,29 @@ def attitude_model(dt: float = 0.01) -> StateSpaceModel:
     into the body frame: g(x) = [C(x)^T grav; C(x)^T mag].  The rate input is
     a slow sinusoid shared by all three body axes.
     """
-    gravity, magnetic = GRAVITY_VECTOR, MAGNETIC_VECTOR
+    # Row v of vectors @ C is (C^T v)^T, so one product rotates both reference
+    # vectors into the body frame and lays them out as g's six components.
+    # With numpy's OpenBLAS it has the bits of C^T @ v, which
+    # tests/test_systems.py checks against products formed one at a time.
+    vectors = np.stack([GRAVITY_VECTOR, MAGNETIC_VECTOR])
 
-    def g(x):
-        body = _body_rotation(x).swapaxes(-1, -2)
-        out = np.empty(x.shape[:-1] + (6,))
-        out[..., :3] = body @ gravity
-        out[..., 3:] = body @ magnetic
-        return out
+    def measure(x, order):
+        """``[g, jac, hess][:order + 1]`` from one rotation build.
 
-    # Derivative orders (pitch, roll, yaw) index rz[yaw] @ ry[pitch] @ rx[roll].
-    def jac_g(x):
-        rz, ry, rx = _euler_rotations(x, 1)
-        out = np.empty(x.shape[:-1] + (6, 3))
-        for a, (p, r, w) in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            d = (rz[w] @ ry[p] @ rx[r]).swapaxes(-1, -2)
-            out[..., :3, a] = d @ gravity
-            out[..., 3:, a] = d @ magnetic
-        return out
-
-    def hess_g(x):
-        rz, ry, rx = _euler_rotations(x, 2)
-        out = np.empty(x.shape[:-1] + (6, 3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                orders = [0, 0, 0]
-                orders[a] += 1
-                orders[b] += 1
-                p, r, w = orders
-                d = (rz[w] @ ry[p] @ rx[r]).swapaxes(-1, -2)
-                out[..., :3, a, b] = d @ gravity
-                out[..., 3:, a, b] = d @ magnetic
-                if b != a:
-                    out[..., b, a] = out[..., a, b]
+        Each output rotates the reference vectors by one product
+        rz[yaw] @ ry[pitch] @ rx[roll], with the derivative orders of its row
+        of ``_ATTITUDE_ORDERS``.  All products of a call form in one batch,
+        left to right, each with the bits it has on its own.
+        """
+        rz, ry, rx = _euler_rotations(x, order)
+        prod = rz @ ry @ rx                           # (Q, ..., 3, 3)
+        rotated = (vectors @ prod).reshape(prod.shape[:-2] + (6,))
+        out = [rotated[0]]
+        if order >= 1:
+            by_output = rotated.transpose(*range(1, rotated.ndim), 0)   # (..., 6, Q)
+            out.append(np.ascontiguousarray(by_output[..., 1:4]))
+        if order >= 2:
+            out.append(np.ascontiguousarray(by_output[..., _HESSIAN_PRODUCT]))
         return out
 
     def f(x, u, t):
@@ -253,10 +278,8 @@ def attitude_model(dt: float = 0.01) -> StateSpaceModel:
         m=6,
         l=3,
         f=f,
-        g=g,
         jac_f=jac_f,
-        jac_g=jac_g,
-        hess_g=hess_g,
+        **_measurement_callables(measure),
         control=control,
         Q=2.0 * ATTITUDE_LAPLACE_SCALE ** 2 * np.eye(3),
         R=1e-4 * np.eye(6),
@@ -305,17 +328,17 @@ def duffing_model(natural_freq: float = 1.0) -> StateSpaceModel:
             ]
         )
 
-    def g(x):
-        return np.power(x[..., :1], 3)
-
-    def jac_g(x):
-        out = np.zeros(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = 3.0 * np.square(_component(x, 0))
-        return out
-
-    def hess_g(x):
-        out = np.zeros(x.shape[:-1] + (1, 2, 2))
-        out[..., 0, 0, 0] = 6.0 * x[..., 0]
+    def measure(x, order):
+        """``[g, jac, hess][:order + 1]`` of the cubed position."""
+        out = [np.power(x[..., :1], 3)]
+        if order >= 1:
+            jac = np.zeros(x.shape[:-1] + (1, 2))
+            jac[..., 0, 0] = 3.0 * np.square(_component(x, 0))
+            out.append(jac)
+        if order >= 2:
+            hess = np.zeros(x.shape[:-1] + (1, 2, 2))
+            hess[..., 0, 0, 0] = 6.0 * x[..., 0]
+            out.append(hess)
         return out
 
     return StateSpaceModel(
@@ -323,10 +346,8 @@ def duffing_model(natural_freq: float = 1.0) -> StateSpaceModel:
         n=2,
         m=1,
         f=f,
-        g=g,
         jac_f=jac_f,
-        jac_g=jac_g,
-        hess_g=hess_g,
+        **_measurement_callables(measure),
         Q=1e-3 * np.eye(2),
         R=np.array([[1e-2]]),
     )

@@ -319,8 +319,8 @@ def test_criterion_6_derivative_consistency():
             t = int(rng.integers(0, 50))
             u = model.control(t) if model.control is not None else None
             errs.append(_rel_err(model.jac_f(x, u, t), _central_jac(lambda s: model.f(s, u, t), x)))
-            errs.append(_rel_err(model.jac_g(x), _central_jac(model.g, x)))
-            errs.append(_rel_err(model.hess_g(x), _central_jac(model.jac_g, x)))
+            errs.append(_rel_err(model.jac_g(x).jac, _central_jac(model.g, x)))
+            errs.append(_rel_err(model.hess_g(x).hess, _central_jac(lambda s: model.jac_g(s).jac, x)))
             errs.append(_rel_err(grad_loglik(x, y, model),
                                  _central_jac(lambda s: loglik(s, y, model), x)))
             errs.append(_rel_err(hess_loglik(x, y, model),

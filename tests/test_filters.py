@@ -16,7 +16,7 @@ from nanofilter.filters import (
     plf_update,
     ukf_update,
 )
-from nanofilter.models import linear_model
+from nanofilter.models import StateSpaceModel, linear_model
 from nanofilter.quadrature import SigmaPointRule
 from nanofilter.systems import duffing_model, fm_demodulator
 
@@ -266,6 +266,35 @@ def test_filter_step_all_ids_run_on_linear_model():
         assert np.all(np.isfinite(post.mean)), fid
         # every filter collapses to the exact answer on a linear model
         np.testing.assert_allclose(post.mean, ref.mean, atol=1e-4)
+
+
+def _bare_array_model():
+    """g(x) = sin(x) on two states, with derivatives returned as bare arrays."""
+    def hess_g(x):
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = -np.sin(x[..., 0])
+        out[..., 1, 1, 1] = -np.sin(x[..., 1])
+        return out
+
+    return StateSpaceModel(
+        name="bare", n=2, m=2,
+        f=lambda x, u, t: x,
+        g=np.sin,
+        jac_f=lambda x, u, t: np.eye(2),
+        jac_g=lambda x: np.cos(x)[..., None] * np.eye(2),
+        hess_g=hess_g,
+        Q=0.01 * np.eye(2), R=0.1 * np.eye(2),
+    )
+
+
+@pytest.mark.parametrize("filter_id", ["ekf", "iekf", "nano", "nano-nopd", "nano-ekf", "nano-chol"])
+def test_bare_array_derivatives_fail_at_the_first_step(filter_id):
+    # updates read jac_g's and hess_g's results by field name, so a model that
+    # returns the bare (2, 2) Jacobian fails loudly; unpacked as a tuple, the
+    # array would split into its two rows and pass for (value, jac)
+    belief = GaussianBelief(np.array([0.3, -0.2]), 0.1 * np.eye(2))
+    with pytest.raises(AttributeError):
+        filter_step(filter_id, belief, None, np.array([0.25, -0.1]), _bare_array_model())
 
 
 def test_gaussian_belief_coerces_arrays():

@@ -30,8 +30,8 @@ def test_linear_model_wiring():
     np.testing.assert_allclose(model.f(x, np.array([0.5]), 0), A @ x + B @ np.array([0.5]))
     np.testing.assert_allclose(model.g(x), H @ x)
     np.testing.assert_allclose(model.jac_f(x, None, 0), A)
-    np.testing.assert_allclose(model.jac_g(x), H)
-    np.testing.assert_allclose(model.hess_g(x), np.zeros((1, 2, 2)))
+    np.testing.assert_allclose(model.jac_g(x).jac, H)
+    np.testing.assert_allclose(model.hess_g(x).hess, np.zeros((1, 2, 2)))
     assert model.linear is not None
     np.testing.assert_allclose(model.linear.A, A)
     np.testing.assert_allclose(model.linear.H, H)
@@ -47,7 +47,24 @@ def test_linear_model_stacked_call_equals_per_point_calls(name):
     u = np.array([0.5])
     fn = getattr(model, name)
     call = (lambda x: fn(x, u, 0)) if name == "f" else fn
-    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+    stacked, per_point = call(stack), [call(x) for x in stack]
+    if name in ("f", "g"):
+        assert np.array_equal(stacked, np.stack(per_point))
+        return
+    for field, got in zip(stacked._fields, zip(*per_point)):
+        assert np.array_equal(getattr(stacked, field), np.stack(got))
+    # on one state and on the stack: g's value and the matrix's own entries,
+    # bit for bit
+    for x, result in ((stack[0], per_point[0]), (stack, stacked)):
+        assert _same_bits(result.value, model.g(x))
+        assert _same_bits(result.jac, np.broadcast_to(H, x.shape[:-1] + H.shape))
+        if name == "hess_g":
+            assert _same_bits(result.hess, np.zeros(x.shape[:-1] + (2, 3, 3)))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_model_validates_covariance_shapes():

@@ -3,9 +3,15 @@ import pytest
 from dataclasses import replace
 
 from nanofilter.errors import MissingHessian, NotPositiveDefinite, PDFailure
-from nanofilter.filters import GaussianBelief, kf_step, mm_predict
+from nanofilter.filters import GaussianBelief, ekf_update, iekf_update, kf_step, mm_predict
 from nanofilter.linalg import cholesky_factor, symmetrize
-from nanofilter.models import StateSpaceModel, linear_model, simulate_trajectory
+from nanofilter.models import (
+    MeasurementHessian,
+    MeasurementJacobian,
+    StateSpaceModel,
+    linear_model,
+    simulate_trajectory,
+)
 from nanofilter.nano import (
     NANO_PRESETS,
     NanoConfig,
@@ -20,20 +26,24 @@ from nanofilter.nano import (
 )
 from nanofilter.quadrature import SigmaPointRule, generate_points, parse_rule
 from nanofilter.scenarios import ScenarioConfig, scenario_models
-from nanofilter.systems import attitude_model, duffing_model
+from nanofilter.systems import attitude_model, duffing_model, fm_demodulator
 
 RULE = SigmaPointRule("cubature")
 
 
 def cubic_model():
     """1-D model with g(x) = x^3 and unit noises; hand-checkable derivatives."""
+    def g(x):
+        return x[..., :1] ** 3
+
     return StateSpaceModel(
         name="cubic", n=1, m=1,
         f=lambda x, u, t: x,
-        g=lambda x: x[..., :1] ** 3,
+        g=g,
         jac_f=lambda x, u, t: np.eye(1),
-        jac_g=lambda x: 3.0 * x[..., :1, None] ** 2,
-        hess_g=lambda x: 6.0 * x[..., :1, None, None],
+        jac_g=lambda x: MeasurementJacobian(g(x), 3.0 * x[..., :1, None] ** 2),
+        hess_g=lambda x: MeasurementHessian(
+            g(x), 3.0 * x[..., :1, None] ** 2, 6.0 * x[..., :1, None, None]),
         Q=np.eye(1), R=np.eye(1),
     )
 
@@ -114,7 +124,7 @@ def test_expected_derivatives_equal_a_per_point_loop(exact):
     y = model.g(np.array([0.3, -0.2, 0.1])) + 0.01 * rng.standard_normal(6)
     v_x, v_xx = np.zeros(3), np.zeros((3, 3))
     for w, p in zip(cset.mean_weights, cset.points):
-        G = model.jac_g(p)
+        G = model.jac_g(p).jac
         scaled = model.R_inv @ G
         resid = model.g(p) - y
         v_x += w * (scaled.T @ resid)
@@ -123,7 +133,7 @@ def test_expected_derivatives_equal_a_per_point_loop(exact):
         assert np.array_equal(grad_loglik(p, y, model), scaled.T @ resid)
         assert np.array_equal(hess_loglik_gn(p, model), symmetrize(h))
         if exact:
-            h = h + np.tensordot(model.R_inv @ resid, model.hess_g(p), axes=1)
+            h = h + np.tensordot(model.R_inv @ resid, model.hess_g(p).hess, axes=1)
             assert np.array_equal(hess_loglik(p, y, model), symmetrize(h))
         v_xx += w * h
     got_x, got_xx = _expected_derivatives(cset, y, model, exact)
@@ -145,40 +155,84 @@ def test_sigma_root_without_inverse_factor_reraises():
 
 
 def _counting_hess_g(model):
-    """Wrap ``model.hess_g`` so each call records a copy of its argument."""
-    seen, inner = [], model.hess_g
+    """Wrap ``model``'s ``g``, ``jac_g`` and ``hess_g`` to record their calls.
 
-    def counted(x):
-        seen.append(np.array(x, copy=True))
-        return inner(x)
+    Returns ``{name: [copy of each call's argument]}``; the dict is filled as
+    the model is used, after ``y`` has been formed from the unwrapped ``g``.
+    """
+    seen = {}
 
-    model.hess_g = counted
-    return seen
+    def counting(name, inner):
+        def counted(x):
+            seen[name].append(np.array(x, copy=True))
+            return inner(x)
+        return counted
+
+    y_source = model.g
+    for name in ("g", "jac_g", "hess_g"):
+        seen[name] = []
+        setattr(model, name, counting(name, getattr(model, name)))
+    return seen, y_source
 
 
 def test_exact_expected_derivatives_call_hess_g_once_on_the_stack():
     model = attitude_model()
-    seen = _counting_hess_g(model)
+    seen, g = _counting_hess_g(model)
     cset = generate_points(parse_rule("gh:3"), np.array([0.2, -0.1, 0.3]), 1e-3 * np.eye(3))
-    y = model.g(np.array([0.21, -0.1, 0.29]))
+    y = g(np.array([0.21, -0.1, 0.29]))
     _expected_derivatives(cset, y, model, exact=True)
-    assert len(seen) == 1
-    assert seen[0].shape == cset.points.shape == (27, 3)
-    assert np.array_equal(seen[0], cset.points)
+    assert [len(seen[k]) for k in ("g", "jac_g", "hess_g")] == [0, 0, 1]
+    assert seen["hess_g"][0].shape == cset.points.shape == (27, 3)
+    assert np.array_equal(seen["hess_g"][0], cset.points)
+    # Gauss-Newton mode: one jac_g call on the stack, which also gives g
     _expected_derivatives(cset, y, model, exact=False)
-    assert len(seen) == 1
+    assert [len(seen[k]) for k in ("g", "jac_g", "hess_g")] == [0, 1, 1]
+    assert np.array_equal(seen["jac_g"][0], cset.points)
 
 
 @pytest.mark.parametrize("rule, points", [("cubature", 4), ("gh:3", 9)])
 def test_exact_update_calls_hess_g_once_per_pass(rule, points):
     model = duffing_model()
-    seen = _counting_hess_g(model)
+    seen, g = _counting_hess_g(model)
     prior = GaussianBelief(np.array([0.8, -0.2]), 0.05 * np.eye(2))
-    y = model.g(np.array([0.85, -0.2]))
+    y = g(np.array([0.85, -0.2]))
     _, diag = nano_update(prior, y, model, parse_rule(rule), NANO_PRESETS["nano-nopd"])
     assert diag.iterations > 1
-    assert len(seen) == diag.iterations
-    assert all(x.shape == (points, 2) for x in seen)
+    assert len(seen["hess_g"]) == diag.iterations
+    assert seen["g"] == [] and seen["jac_g"] == []
+    assert all(x.shape == (points, 2) for x in seen["hess_g"])
+
+
+@pytest.mark.parametrize("preset, per_pass, ekf_start", [
+    ("nano", "jac_g", 0),
+    ("nano-chol", "jac_g", 0),
+    ("nano-ekf", "hess_g", 1),     # one jac_g call for the ekf start
+])
+def test_update_makes_one_model_call_per_pass(preset, per_pass, ekf_start):
+    model = duffing_model()
+    seen, g = _counting_hess_g(model)
+    prior = GaussianBelief(np.array([0.8, -0.2]), 0.05 * np.eye(2))
+    y = g(np.array([0.85, -0.2]))
+    _, diag = nano_update(prior, y, model, RULE, NANO_PRESETS[preset])
+    assert diag.iterations > 1
+    expected = {"g": 0, "jac_g": ekf_start, "hess_g": 0}
+    expected[per_pass] += diag.iterations
+    assert {k: len(v) for k, v in seen.items()} == expected
+
+
+@pytest.mark.parametrize("maker", [fm_demodulator, attitude_model, duffing_model])
+def test_ekf_and_iekf_make_one_jac_g_call_per_pass(maker):
+    # the iterated EKF's pass count is read from its jac_g calls
+    model = maker()
+    seen, g = _counting_hess_g(model)
+    x = np.full(model.n, 0.3)
+    prior = GaussianBelief(x, 0.01 * np.eye(model.n))
+    y = g(x + 0.05)
+    ekf_update(prior, y, model)
+    assert [len(seen[k]) for k in ("g", "jac_g", "hess_g")] == [0, 1, 0]
+    _, diag = iekf_update(prior, y, model)
+    assert diag.iterations > 1
+    assert [len(seen[k]) for k in ("g", "jac_g", "hess_g")] == [0, 1 + diag.iterations, 0]
 
 
 # ---------------------------------------------------------------------------

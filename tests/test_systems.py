@@ -75,12 +75,13 @@ def test_attitude_rotation_identity_at_zero():
 
 
 def test_attitude_rotation_orthogonality():
-    from nanofilter.systems import _body_rotation
+    from nanofilter.systems import _euler_rotations
 
     rng = np.random.default_rng(12)
     for _ in range(25):
         theta = rng.uniform(-1.2, 1.2, size=3)
-        C = _body_rotation(theta)
+        rz, ry, rx = _euler_rotations(theta)
+        C = rz[0] @ ry[0] @ rx[0]
         np.testing.assert_allclose(C @ C.T, np.eye(3), atol=1e-10)
         assert np.linalg.det(C) == pytest.approx(1.0, abs=1e-10)
 
@@ -138,8 +139,8 @@ def test_duffing_step_values():
 def test_duffing_measurement_is_cubic():
     model = duffing_model()
     np.testing.assert_allclose(model.g(np.array([2.0, 7.0])), [8.0])
-    np.testing.assert_allclose(model.jac_g(np.array([2.0, 7.0])), [[12.0, 0.0]])
-    np.testing.assert_allclose(model.hess_g(np.array([2.0, 7.0]))[0], [[12.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(model.jac_g(np.array([2.0, 7.0])).jac, [[12.0, 0.0]])
+    np.testing.assert_allclose(model.hess_g(np.array([2.0, 7.0])).hess[0], [[12.0, 0.0], [0.0, 0.0]])
 
 
 def test_duffing_euler_step_close_to_exact_flow():
@@ -170,7 +171,7 @@ def test_measurement_jacobian_matches_differences(maker):
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=model.n)
         num = central_jac(model.g, x)
-        ana = model.jac_g(x)
+        ana = model.jac_g(x).jac
         np.testing.assert_allclose(ana, num, rtol=1e-4, atol=1e-6)
 
 
@@ -180,8 +181,8 @@ def test_measurement_hessian_matches_differences(maker):
     rng = np.random.default_rng(zlib.crc32(model.name.encode()) % 2 ** 31)
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=model.n)
-        num = central_jac(model.jac_g, x)       # (m, n, n): d jac / d x_k
-        ana = model.hess_g(x)
+        num = central_jac(lambda s: model.jac_g(s).jac, x)   # (m, n, n): d jac / d x_k
+        ana = model.hess_g(x).hess
         np.testing.assert_allclose(ana, num, rtol=1e-3, atol=1e-5)
         # symmetry in the two derivative indices
         np.testing.assert_allclose(ana, np.swapaxes(ana, 1, 2), atol=1e-12)
@@ -202,6 +203,45 @@ def test_dynamics_jacobian_matches_differences(maker):
 # Stack contract: one call on (..., n) equals the per-point calls
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bytes: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked_equals_per_point(call, stack):
+    """One call on ``stack`` equals the per-state calls, field by field for tuples."""
+    stacked, per_point = call(stack), [call(x) for x in stack]
+    if isinstance(stacked, tuple):
+        return all(np.array_equal(a, np.stack(b)) for a, b in zip(stacked, zip(*per_point)))
+    return np.array_equal(stacked, np.stack(per_point))
+
+
+def _reference_measurement(model, x):
+    """g, its Jacobian and its second derivatives, each written on its own."""
+    if model.name == "attitude":
+        return _reference_attitude(x)
+    stack = x.shape[:-1]
+    if model.name == "fm":
+        root2 = np.sqrt(2.0)
+        g = np.empty(stack + (2,))
+        g[..., 0] = root2 * np.sin(x[..., 1])
+        g[..., 1] = root2 * np.cos(x[..., 1])
+        jac = np.zeros(stack + (2, 2))
+        jac[..., 0, 1] = root2 * np.cos(x[..., 1])
+        jac[..., 1, 1] = -root2 * np.sin(x[..., 1])
+        hess = np.zeros(stack + (2, 2, 2))
+        hess[..., 0, 1, 1] = -root2 * np.sin(x[..., 1])
+        hess[..., 1, 1, 1] = -root2 * np.cos(x[..., 1])
+        return g, jac, hess
+    g = np.power(x[..., :1], 3)
+    jac = np.zeros(stack + (1, 2))
+    jac[..., 0, 0] = 3.0 * np.square(x[..., 0][()])
+    hess = np.zeros(stack + (1, 2, 2))
+    hess[..., 0, 0, 0] = 6.0 * x[..., 0]
+    return g, jac, hess
+
+
 @pytest.mark.parametrize("maker", [fm_demodulator, attitude_model, duffing_model])
 @pytest.mark.parametrize("name", ["f", "g", "jac_g", "hess_g"])
 def test_stacked_call_equals_per_point_calls(maker, name):
@@ -211,7 +251,17 @@ def test_stacked_call_equals_per_point_calls(maker, name):
     u = model.control(5) if model.control is not None else None
     fn = getattr(model, name)
     call = (lambda x: fn(x, u, 5)) if name == "f" else fn
-    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+    assert stacked_equals_per_point(call, stack)
+    if name in ("jac_g", "hess_g"):
+        # on one state and on the stack, the value is g's and the derivatives
+        # are those of the formulas written on their own, bit for bit
+        for x in (stack[0], stack):
+            result = call(x)
+            g, jac, hess = _reference_measurement(model, x)
+            assert same_bits(result.value, model.g(x)) and same_bits(result.value, g)
+            assert same_bits(result.jac, jac)
+            if name == "hess_g":
+                assert same_bits(result.hess, hess)
 
 
 @pytest.mark.parametrize("name", ["f", "g", "jac_g"])
@@ -222,7 +272,7 @@ def test_duffing_powers_match_between_one_state_and_a_stack(name):
     stack = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, 2))
     fn = getattr(model, name)
     call = (lambda x: fn(x, None, 7)) if name == "f" else fn
-    assert np.array_equal(call(stack), np.stack([call(x) for x in stack]))
+    assert stacked_equals_per_point(call, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +332,11 @@ def test_attitude_derivatives_match_per_order_rotations(shape):
     for _ in range(20):
         x = rng.uniform(-1.4, 1.4, size=shape)
         g, jac, hess = _reference_attitude(x)
+        first, second = model.jac_g(x), model.hess_g(x)
         assert np.array_equal(model.g(x), g)
-        assert np.array_equal(model.jac_g(x), jac)
-        assert np.array_equal(model.hess_g(x), hess)
+        assert same_bits(first.value, model.g(x)) and same_bits(second.value, model.g(x))
+        assert same_bits(first.jac, jac) and same_bits(second.jac, jac)
+        assert same_bits(second.hess, hess)
 
 
 class _CountingNumpy:

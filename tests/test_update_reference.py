@@ -43,7 +43,7 @@ from nanofilter.linalg import (
     symmetrize,
     tril_solve,
 )
-from nanofilter.models import linear_model
+from nanofilter.models import MeasurementJacobian, linear_model
 from nanofilter.nano import FACTOR_DIAG_TOL, NANO_PRESETS, NanoConfig, _expected_derivatives, _sigma_root
 from nanofilter.quadrature import SigmaPointRule, _apply, generate_points, parse_rule, propagate_with_cross
 from nanofilter.scenarios import ScenarioConfig, scenario_models
@@ -112,7 +112,7 @@ def ref_iekf_update(prior, y, model, max_iters=ITER_MAX):
     x0, P = prior.mean, prior.cov
     xi = x0
     for iterations in range(1, max_iters + 1):
-        G = model.jac_g(xi)
+        G = model.jac_g(xi).jac
         S = symmetrize(G @ P @ G.T + model.R)
         gain = spd_solve(S, G @ P).T
         x_next = x0 + gain @ (y - model.g(xi) - G @ (x0 - xi))
@@ -268,7 +268,8 @@ def _constant_model(jac, resid):
     """Linear-looking 2x2 model whose stacked g and jac_g are the given constants."""
     model = linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
     model.g = lambda x: np.broadcast_to(resid, x.shape[:-1] + (2,)).copy()
-    model.jac_g = lambda x: np.broadcast_to(jac, x.shape[:-1] + (2, 2)).copy()
+    model.jac_g = lambda x: MeasurementJacobian(
+        model.g(x), np.broadcast_to(jac, x.shape[:-1] + (2, 2)).copy())
     return model
 
 
