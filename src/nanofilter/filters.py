@@ -50,20 +50,43 @@ class UpdateDiagnostics:
     updates).  ``final_delta`` is the change made by the last pass: the norm
     of the mean step for :func:`iekf_update` and :func:`plf_update`, the
     Frobenius norm of the covariance change for the natural-gradient update,
-    and 0.0 for the single-pass updates.  ``update_ms`` is filled in by
-    :func:`filter_step`; the updates themselves report 0.0.
+    and 0.0 for the single-pass updates.  ``converged`` says whether the last
+    pass met the stopping test; an update that meets it on its last allowed
+    pass has converged, one that reaches the cap without meeting it has not.
+    ``update_ms`` is filled in by :func:`filter_step`; the updates themselves
+    report 0.0.
     """
 
     iterations: int
     final_delta: float
+    converged: bool
     pd_failure: bool
     update_ms: float
 
 
 # Diagnostics of every single-pass update (kf, ekf, ukf).
-SINGLE_PASS = UpdateDiagnostics(1, 0.0, False, 0.0)
+SINGLE_PASS = UpdateDiagnostics(1, 0.0, True, False, 0.0)
 # Diagnostics of a natural-gradient update that lost positive definiteness.
-PD_FAILED = UpdateDiagnostics(0, float("nan"), True, 0.0)
+PD_FAILED = UpdateDiagnostics(0, float("nan"), False, True, 0.0)
+
+
+def iterate(one_pass, state, max_iters: int, tol: float):
+    """Run ``one_pass`` until its statistic drops below ``tol``, at most ``max_iters`` times.
+
+    ``one_pass(state)`` returns ``(next state, stopping statistic)``.  Returns
+    the last state and its :class:`UpdateDiagnostics`: the passes made, the
+    last statistic, and whether it fell below ``tol``.  Every iterated update
+    (:func:`iekf_update`, :func:`plf_update`,
+    :func:`~nanofilter.nano.nano_update`) is one pass plus one call of this
+    function.
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    for iterations in range(1, max_iters + 1):
+        state, delta = one_pass(state)
+        if delta < tol:
+            return state, UpdateDiagnostics(iterations, delta, True, False, 0.0)
+    return state, UpdateDiagnostics(iterations, delta, False, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +168,13 @@ def iekf_update(
     ``max_iters`` passes; each pass makes one ``jac_g`` call, which also
     gives ``g``.  With ``max_iters=1`` this is exactly :func:`ekf_update`.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
     x0, P, R = prior.mean, prior.cov, model.R
-    xi = x0
-    for iterations in range(1, max_iters + 1):
+
+    # A pass's state: (iterate, gain, Jacobian); the last pass's gain and
+    # Jacobian give the Joseph-form covariance.
+    def one_pass(state):
+        xi = state[0]
         lin = model.jac_g(xi)
         G = lin.jac
         GP = G @ P
@@ -159,12 +183,10 @@ def iekf_update(
         gain = spd_solve(S, GP).T
         x_next = x0 + gain @ (y - lin.value - G @ (x0 - xi))
         step = x_next - xi
-        delta = math.sqrt(step.dot(step))
-        xi = x_next
-        if delta < ITER_GAMMA:
-            break
-    cov = _joseph_cov(P, gain, G, R)
-    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
+        return (x_next, gain, G), math.sqrt(step.dot(step))
+
+    (xi, gain, G), diag = iterate(one_pass, (x0, None, None), max_iters, ITER_GAMMA)
+    return GaussianBelief(xi, _joseph_cov(P, gain, G, R)), diag
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +234,16 @@ def plf_update(
     (affine fit A x + b with residual covariance Omega) and redoes the linear
     update of the original prior with measurement noise R + Omega.  The first
     pass linearizes over the prior itself and therefore reproduces
-    :func:`ukf_update` exactly.  Stops once the mean step is shorter than
-    ``ITER_GAMMA`` or after ``max_iters`` passes.
+    :func:`ukf_update` up to rounding: it forms the innovation covariance as
+    ``A P Aᵀ + R + sym(spread - A P Aᵀ)`` where the UKF adds ``spread + R``.
+    Stops once the mean step is shorter than ``ITER_GAMMA`` or after
+    ``max_iters`` passes.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y = np.asarray(y, dtype=float)
     x0, P0, R = prior.mean, prior.cov, model.R
-    xi, Pi = x0, P0
-    for iterations in range(1, max_iters + 1):
+
+    def one_pass(state):
+        xi, Pi = state
         cset = generate_points(rule, xi, Pi)
         ybar, spread, cross = propagate_with_cross(cset, model.g)
         A = chol_solve(cset.spread, cross).T        # cross^T Pi^{-1}; spread is chol(Pi)
@@ -234,11 +257,10 @@ def plf_update(
         P_next = P0 - gain @ S @ gain.T
         P_next = 0.5 * (P_next + P_next.T)
         step = x_next - xi
-        delta = math.sqrt(step.dot(step))
-        xi, Pi = x_next, P_next
-        if delta < ITER_GAMMA:
-            break
-    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, False, 0.0)
+        return (x_next, P_next), math.sqrt(step.dot(step))
+
+    (xi, Pi), diag = iterate(one_pass, (x0, P0), max_iters, ITER_GAMMA)
+    return GaussianBelief(xi, Pi), diag
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +331,8 @@ def filter_step(
     except PDFailure:
         post, diag = prior, PD_FAILED
     elapsed = time.perf_counter() - start
-    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.pd_failure, elapsed * 1e3)
+    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.converged, diag.pd_failure,
+                                   elapsed * 1e3)
 
 
 # Last, because nano imports this module's baselines.

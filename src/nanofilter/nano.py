@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
-from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update
+from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update, iterate
 from .linalg import all_finite, chol_inverse, cholesky_factor, identity, qr_upper, spd_inverse, tril_solve
 from .models import StateSpaceModel
 from .quadrature import CollocationSet, SigmaPointRule, generate_points
@@ -227,7 +227,8 @@ def nano_update(
 
     Stops when the Frobenius change of the covariance drops below
     ``cfg.gamma`` (checked after a full covariance+mean pass) or after
-    ``cfg.max_iters`` iterations, and returns the last iterate.
+    ``cfg.max_iters`` iterations, and returns the last iterate; the passes
+    run under :func:`~nanofilter.filters.iterate`.
 
     ``prior.cov`` is factored once: the factor gives the prior information
     matrix (by :func:`~nanofilter.linalg.chol_inverse`) and, with ``init="prior"``,
@@ -267,31 +268,34 @@ def nano_update(
     # is a square root of the covariance, usable for sigma points even when the
     # covariance itself is too ill-conditioned to re-factorize.
     inv_factor = cholesky_factor(cov_inv) if factored else None
+
+    # A pass's state: (mean, cov, sigma root or None, inverse factor).  Only
+    # the first pass is handed a root; every later one takes its own.
+    def one_pass(state):
+        mean, cov, root, inv_factor = state
+        if root is None:
+            root = _sigma_root(cov, inv_factor)
+        cset = generate_points(rule, mean, cov, spread=root)
+        v_x, v_xx = _expected_derivatives(cset, y, model, exact)
+
+        if factored:
+            inv_factor = chol_cov_step(inv_factor, v_xx, prior_inv, cfg.epsilon)
+        else:
+            # Indefinite curvature (exact-Hessian mode) dies here.
+            inv_factor = cholesky_factor(prior_inv + v_xx)
+        cov_next = chol_inverse(inv_factor)
+
+        mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior_mean))
+        if not all_finite(mean_next, cov_next):
+            raise NonFiniteIterate("optimizer iterate left finite floats")
+
+        d = (cov_next - cov).ravel()
+        return (mean_next, cov_next, None, inv_factor), math.sqrt(d.dot(d))
+
     try:
-        for iterations in range(1, cfg.max_iters + 1):
-            if root is None:
-                root = _sigma_root(cov, inv_factor)
-            cset = generate_points(rule, mean, cov, spread=root)
-            root = None
-            v_x, v_xx = _expected_derivatives(cset, y, model, exact)
-
-            if factored:
-                inv_factor = chol_cov_step(inv_factor, v_xx, prior_inv, cfg.epsilon)
-            else:
-                # Indefinite curvature (exact-Hessian mode) dies here.
-                inv_factor = cholesky_factor(prior_inv + v_xx)
-            cov_next = chol_inverse(inv_factor)
-
-            mean_next = mean - cov_next @ (v_x + prior_inv @ (mean - prior_mean))
-            if not all_finite(mean_next, cov_next):
-                raise NonFiniteIterate("optimizer iterate left finite floats")
-
-            d = (cov_next - cov).ravel()
-            delta = math.sqrt(d.dot(d))
-            mean, cov = mean_next, cov_next
-            if delta < cfg.gamma:
-                break
+        (mean, cov, _, _), diag = iterate(
+            one_pass, (mean, cov, root, inv_factor), cfg.max_iters, cfg.gamma)
     except NotPositiveDefinite as exc:
         raise PDFailure(f"covariance update lost positive definiteness: {exc}") from exc
 
-    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
+    return GaussianBelief(mean, cov), diag

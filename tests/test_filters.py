@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nanofilter.bench import make_trajectory
 from nanofilter.errors import EstimationError, ModelNotLinear, NonFiniteMeasurement
 from nanofilter.filters import (
     FILTER_IDS,
@@ -18,6 +19,7 @@ from nanofilter.filters import (
 )
 from nanofilter.models import StateSpaceModel, linear_model
 from nanofilter.quadrature import SigmaPointRule
+from nanofilter.scenarios import ScenarioConfig, scenario_models
 from nanofilter.systems import duffing_model, fm_demodulator
 
 RULE = SigmaPointRule("cubature")
@@ -87,14 +89,25 @@ def test_ekf_equals_kf_on_linear_models():
         np.testing.assert_allclose(post.cov, ref.cov, atol=1e-10)
 
 
-def test_iekf_single_iteration_is_ekf():
-    model = duffing_model()
-    prior = GaussianBelief(np.array([0.7, -0.1]), 0.05 * np.eye(2))
-    y = np.array([0.5])
-    a, _ = ekf_update(prior, y, model)
-    b, _ = iekf_update(prior, y, model, max_iters=1)
-    np.testing.assert_allclose(a.mean, b.mean, atol=1e-14)
-    np.testing.assert_allclose(a.cov, b.cov, atol=1e-14)
+@pytest.mark.parametrize("model_id", ["fm", "attitude", "duffing"])
+def test_iekf_single_iteration_is_ekf(model_id):
+    # bit for bit, at every step of the EKF's run over each benchmark model
+    for seed in range(5):
+        cfg = ScenarioConfig(model=model_id, horizon=100, seed=seed)
+        setup = scenario_models(cfg)
+        traj = make_trajectory(cfg, 0, setup)
+        model = setup.filter_view
+        belief = GaussianBelief(setup.init_mean, setup.init_cov)
+        for t in range(cfg.horizon):
+            u = traj.inputs[t] if traj.inputs is not None else None
+            prior = ekf_predict(belief, u, model, t)
+            y = traj.measurements[t]
+            a, _ = ekf_update(prior, y, model)
+            b, diag = iekf_update(prior, y, model, max_iters=1)
+            assert np.array_equal(a.mean, b.mean), (seed, t)
+            assert np.array_equal(a.cov, b.cov), (seed, t)
+            assert diag.iterations == 1
+            belief = a
 
 
 def test_iekf_converges_immediately_on_linear_models():

@@ -2,10 +2,12 @@
 
 ``nano_update``, ``chol_cov_step``, ``plf_update`` and ``iekf_update`` factor
 the prior once, test finiteness with ``linalg.all_finite`` and reuse products
-within a pass.
+within a pass, and the three updates run their passes under the one driver
+``filters.iterate``.
 The references below keep the earlier arithmetic (a second ``spd_inverse``,
 ``symmetrize``, ``np.linalg.norm``, ``np.vstack``, entry-wise finiteness
-checks), and every posterior and diagnostic must match them bit for bit.
+checks) and each keeps its own loop, which sets ``converged`` from its last
+statistic; every posterior and diagnostic must match them bit for bit.
 """
 
 import numpy as np
@@ -104,7 +106,7 @@ def ref_nano_update(prior, y, model, rule, cfg):
                 break
     except NotPositiveDefinite as exc:
         raise PDFailure(f"covariance update lost positive definiteness: {exc}") from exc
-    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
+    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, delta < cfg.gamma, False, 0.0)
 
 
 def ref_iekf_update(prior, y, model, max_iters=ITER_MAX):
@@ -122,7 +124,7 @@ def ref_iekf_update(prior, y, model, max_iters=ITER_MAX):
             break
     closure = identity(P.shape[0]) - gain @ G
     cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
-    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, False, 0.0)
+    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, False, 0.0)
 
 
 def ref_plf_update(prior, y, model, rule, max_iters=ITER_MAX):
@@ -143,7 +145,7 @@ def ref_plf_update(prior, y, model, rule, max_iters=ITER_MAX):
         xi, Pi = x_next, P_next
         if delta < ITER_GAMMA:
             break
-    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, False, 0.0)
+    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
