@@ -10,7 +10,7 @@ Kalman recursion over a 20-step trajectory.
 
 import numpy as np
 
-from nanofilter.filters import GaussianBelief, filter_step, kf_step
+from nanofilter.filters import GaussianBelief, kf_step, predict_update
 from nanofilter.models import linear_model
 from nanofilter.quadrature import parse_rule
 
@@ -43,7 +43,7 @@ def main():
         y = model.g(truth) + chol_r @ rng.standard_normal(model.m)
         reference = kf_step(beliefs["kf"], None, y, model)
         for fid in FILTERS:
-            beliefs[fid], _ = filter_step(fid, beliefs[fid], None, y, model, t=t, rule=rule)
+            beliefs[fid], _ = predict_update(fid, beliefs[fid], None, y, model, t=t, rule=rule)
             worst_mean[fid] = max(worst_mean[fid], np.abs(beliefs[fid].mean - reference.mean).max())
             worst_cov[fid] = max(worst_cov[fid], np.linalg.norm(beliefs[fid].cov - reference.cov))
 

@@ -44,7 +44,8 @@ def part2_one_trajectory():
     for fid in ("nano-nopd", "nano-ekf", "nano", "nano-chol"):
         run = run_filter(setup, fid, traj, rule)
         if run.diverged:
-            print(f"  {fid:<10} died at step {run.steps + 1} (covariance no longer PD)")
+            step, cause = run.failure
+            print(f"  {fid:<10} died at step {step} ({cause})")
         else:
             err = np.sqrt(np.mean((traj.states[1:] - run.means) ** 2))
             print(f"  {fid:<10} completed, rmse {err:.3f}")

@@ -3,7 +3,7 @@
 The package provides:
 
 * classical Gaussian filters (KF, EKF, IEKF, UKF, iterated posterior
-  linearization) behind one :func:`~nanofilter.filters.filter_step` contract;
+  linearization) behind one :func:`~nanofilter.filters.predict_update` contract;
 * a natural-gradient update (:mod:`nanofilter.nano`) with two
   positive-definiteness-preserving covariance mechanisms;
 * sigma-point rules (cubature, unscented, Gauss-Hermite) and Gaussian

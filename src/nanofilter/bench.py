@@ -5,9 +5,8 @@ trajectory, because the trajectory is derived only from the scenario config
 and the trial index (seed = config seed + trial index, a fresh PCG64 stream).
 All trials of a run are simulated together up front; then they run one after
 another, on the calling thread, each through every filter.
-A trial counts as diverged when the filter raises an estimation error, a
-natural-gradient update reports a positive-definiteness failure, or any mean
-component is NaN or exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged
+A trial counts as diverged when the filter raises an estimation error or any
+mean component is NaN or exceeds ``DIVERGENCE_LIMIT`` in magnitude; diverged
 trials are excluded from RMSE aggregates and counted separately.
 """
 
@@ -21,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, LengthMismatch, ModelNotLinear
-from .filters import GaussianBelief, UpdateDiagnostics, filter_step, lookup_filter
+# run_filter steps through the name filter_step, where perfbench samples and traces it.
+from .filters import GaussianBelief, UpdateDiagnostics, lookup_filter, predict_update as filter_step
 from .models import Trajectory, simulate_trajectory
 from .quadrature import SigmaPointRule, parse_rule
 from .scenarios import MODEL_IDS, ScenarioConfig, ScenarioSetup, scenario_models
@@ -56,13 +56,25 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class FilterRun:
-    """Raw per-step output of one filter pass (used by tests and demos)."""
+    """Raw per-step output of one filter pass (used by tests and demos).
+
+    ``diagnostics`` has one entry per completed step.  ``failure`` is
+    ``(step, cause)`` for a run that diverged, else None: ``step`` counts from
+    1, and ``cause`` is the name of the exception class the step raised, or
+    ``"DIVERGENCE_LIMIT"`` when the step's mean came out NaN or past
+    ``DIVERGENCE_LIMIT``.  A step that raised is not among the ``steps``
+    completed; a step whose mean crossed the limit is.
+    """
 
     means: np.ndarray                 # (steps, n)
     covs: np.ndarray                  # (steps, n, n)
     diagnostics: tuple[UpdateDiagnostics, ...]
     steps: int                        # completed update steps
-    diverged: bool
+    failure: tuple[int, str] | None
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
 
 
 def scenario_label(cfg: ScenarioConfig) -> str:
@@ -83,7 +95,7 @@ def run_filter(
     covs = np.empty((total, model.n, model.n))
     diags: list[UpdateDiagnostics] = []
     steps = 0
-    diverged = False
+    failure = None
 
     for t in range(1, total + 1):
         u = traj.inputs[t - 1] if traj.inputs is not None else None
@@ -91,22 +103,19 @@ def run_filter(
             belief, diag = filter_step(
                 filter_id, belief, u, traj.measurements[t - 1], model, t=t - 1, rule=rule
             )
-        except EstimationError:
-            diverged = True
+        except EstimationError as exc:
+            failure = (t, type(exc).__name__)
             break
         diags.append(diag)
-        if diag.pd_failure:
-            diverged = True
-            break
         means[t - 1] = belief.mean
         covs[t - 1] = belief.cov
         steps = t
         # Every comparison with NaN is false, so a NaN component diverges too.
         if not all(abs(v) <= DIVERGENCE_LIMIT for v in belief.mean.tolist()):
-            diverged = True
+            failure = (t, "DIVERGENCE_LIMIT")
             break
 
-    return FilterRun(means[:steps], covs[:steps], tuple(diags), steps, diverged)
+    return FilterRun(means[:steps], covs[:steps], tuple(diags), steps, failure)
 
 
 def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup | None = None) -> Trajectory:

@@ -1,11 +1,12 @@
 """Classical Gaussian filters behind one predict/update contract.
 
 All filters share :class:`GaussianBelief`, and every measurement update
-returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`filter_step` runs one
-predict + one measurement update of the filter id it is given, as looked up in
-the one table :data:`FILTERS`, and stamps the update's wall-clock time onto
-its diagnostics.  The natural-gradient family lives in :mod:`nanofilter.nano`;
-this module hosts the baselines and the filter table.
+returns ``(GaussianBelief, UpdateDiagnostics)``.  :func:`predict_update` runs
+one predict + one measurement update of the filter id it is given, as looked up
+in the one table :data:`FILTERS`, and stamps the update's wall-clock time onto
+its diagnostics; every estimation failure propagates from it as an
+:class:`~nanofilter.errors.EstimationError`.  The natural-gradient family lives
+in :mod:`nanofilter.nano`; this module hosts the baselines and the filter table.
 """
 
 from __future__ import annotations
@@ -53,21 +54,23 @@ class UpdateDiagnostics:
     and 0.0 for the single-pass updates.  ``converged`` says whether the last
     pass met the stopping test; an update that meets it on its last allowed
     pass has converged, one that reaches the cap without meeting it has not.
-    ``update_ms`` is filled in by :func:`filter_step`; the updates themselves
-    report 0.0.
+    ``update_ms`` is filled in by :func:`predict_update`; the updates
+    themselves report 0.0.  Only an update that returned has diagnostics: one
+    that fails, positive definiteness lost included, raises an
+    :class:`~nanofilter.errors.EstimationError` instead.  ``pd_failure`` is
+    True only on :data:`PD_FAILED`, which :func:`filter_step` returns in place
+    of a :class:`~nanofilter.errors.PDFailure`.
     """
 
     iterations: int
     final_delta: float
     converged: bool
-    pd_failure: bool
     update_ms: float
+    pd_failure: bool = False
 
 
 # Diagnostics of every single-pass update (kf, ekf, ukf).
-SINGLE_PASS = UpdateDiagnostics(1, 0.0, True, False, 0.0)
-# Diagnostics of a natural-gradient update that lost positive definiteness.
-PD_FAILED = UpdateDiagnostics(0, float("nan"), False, True, 0.0)
+SINGLE_PASS = UpdateDiagnostics(1, 0.0, True, 0.0)
 
 
 def iterate(one_pass, state, max_iters: int, tol: float):
@@ -85,8 +88,8 @@ def iterate(one_pass, state, max_iters: int, tol: float):
     for iterations in range(1, max_iters + 1):
         state, delta = one_pass(state)
         if delta < tol:
-            return state, UpdateDiagnostics(iterations, delta, True, False, 0.0)
-    return state, UpdateDiagnostics(iterations, delta, False, False, 0.0)
+            return state, UpdateDiagnostics(iterations, delta, True, 0.0)
+    return state, UpdateDiagnostics(iterations, delta, False, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def lookup_filter(filter_id: str):
         raise ValueError(f"unknown filter {filter_id!r}; expected one of {FILTER_IDS}") from None
 
 
-def filter_step(
+def predict_update(
     filter_id: str,
     belief: GaussianBelief,
     u,
@@ -312,11 +315,11 @@ def filter_step(
     """One predict + update step of the named filter.
 
     Returns the posterior belief and the update's diagnostics.  ``update_ms``
-    times the measurement update only (prediction excluded).  A
-    positive-definiteness failure inside a natural-gradient update is reported
-    via ``diagnostics.pd_failure`` with the prior belief returned unchanged.
-    A measurement with a NaN or Inf entry raises :class:`NonFiniteMeasurement`
-    before any filter work.
+    times the measurement update only (prediction excluded).  A measurement
+    with a NaN or Inf entry raises :class:`NonFiniteMeasurement` before any
+    filter work; any other estimation failure, a natural-gradient update's
+    :class:`~nanofilter.errors.PDFailure` included, propagates from the
+    predict or update that raised it.
     """
     predict, update = lookup_filter(filter_id)
     y = np.asarray(y, dtype=float)
@@ -326,13 +329,38 @@ def filter_step(
 
     prior = predict(belief, u, model, t, rule)
     start = time.perf_counter()
-    try:
-        post, diag = update(prior, y, model, rule)
-    except PDFailure:
-        post, diag = prior, PD_FAILED
+    post, diag = update(prior, y, model, rule)
     elapsed = time.perf_counter() - start
-    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.converged, diag.pd_failure,
-                                   elapsed * 1e3)
+    return post, UpdateDiagnostics(diag.iterations, diag.final_delta, diag.converged, elapsed * 1e3)
+
+
+# Diagnostics filter_step returns for an update that lost positive definiteness.
+PD_FAILED = UpdateDiagnostics(0, float("nan"), False, 0.0, pd_failure=True)
+
+
+def filter_step(
+    filter_id: str,
+    belief: GaussianBelief,
+    u,
+    y,
+    model: StateSpaceModel,
+    t: int = 0,
+    rule: SigmaPointRule | None = None,
+) -> tuple[GaussianBelief, UpdateDiagnostics]:
+    """:func:`predict_update`, except that a :class:`PDFailure` returns the prior with :data:`PD_FAILED`.
+
+    The prior is the predicted belief.  perfbench's warm-up calls this name
+    for every filter id, nano-nopd and nano-ekf on fm and duffing among them,
+    whose first update loses positive definiteness.  The package itself steps
+    through :func:`predict_update`, so a PD failure ends a trial like every
+    other estimation error.  ROADMAP item 8 deletes this function,
+    ``PD_FAILED`` and ``pd_failure`` together with perfbench's calls.
+    """
+    try:
+        return predict_update(filter_id, belief, u, y, model, t, rule)
+    except PDFailure:
+        predict = lookup_filter(filter_id)[0]
+        return predict(belief, u, model, t, rule or SigmaPointRule("cubature")), PD_FAILED
 
 
 # Last, because nano imports this module's baselines.

@@ -153,7 +153,7 @@ def test_criterion_2_pd_preservation():
                 for trial in range(cfg.trials):
                     traj = make_trajectory(cfg, trial, setup)
                     run = run_filter(setup, fid, traj, rule)
-                    pd_failures += sum(d.pd_failure for d in run.diagnostics)
+                    pd_failures += run.failure is not None and run.failure[1] == "PDFailure"
                     incomplete += run.steps < cfg.horizon
                     for cov in run.covs:
                         checked += 1

@@ -112,17 +112,22 @@ def test_run_filter_completes_horizon():
 def test_diverged_trial_truncates():
     # exact-Hessian update meets indefinite curvature on this trajectory
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    res = run_trial(cfg, "nano-nopd", 0, make_trajectory(cfg, 0))
+    traj = make_trajectory(cfg, 0)
+    res = run_trial(cfg, "nano-nopd", 0, traj)
     assert res.diverged
     assert res.rmse is None
     assert 0 < res.steps < 40
+    # the update that raised is neither listed nor counted as a step
+    run = run_filter(scenario_models(cfg), "nano-nopd", traj, parse_rule(cfg.mm))
+    assert run.failure == (res.steps + 1, "PDFailure")
+    assert len(run.diagnostics) == run.steps == res.steps
 
 
-def test_trial_times_failed_attempt():
+def test_trial_does_not_time_a_failed_update():
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
     res = run_trial(cfg, "nano-nopd", 1, make_trajectory(cfg, 1))  # fails on the very first update
     assert res.diverged and res.steps == 0
-    assert res.update_ms is not None and res.update_ms > 0.0  # attempt still timed
+    assert res.update_ms is None  # no update completed, so none was timed
 
 
 def test_nan_measurement_diverges_the_trial(monkeypatch):
@@ -141,6 +146,8 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
     monkeypatch.setattr(bench, "make_trajectories", with_nan)
     cfg = ScenarioConfig(model="duffing", trials=3, horizon=20, seed=0)
     rep = run_monte_carlo(cfg, ("ekf", "iekf"))
+    setup = scenario_models(cfg)
+    traj = bench.make_trajectories(cfg, setup)[0]
     for fid in ("ekf", "iekf"):
         first = rep.results[fid][0]
         assert first.diverged and first.rmse is None, fid
@@ -148,6 +155,9 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
         st = rep.stats(fid)
         assert st.divergences == 1, fid
         assert np.isfinite(st.mean_rmse), fid
+        run = run_filter(setup, fid, traj, parse_rule(cfg.mm))
+        assert run.failure == (6, "NonFiniteMeasurement"), fid
+        assert run.steps == 5, fid
 
 
 @pytest.mark.parametrize("bad", [np.nan, 2e6, -2e6])
@@ -166,10 +176,14 @@ def test_mean_past_the_limit_diverges_the_trial(monkeypatch, bad):
 
     monkeypatch.setattr(bench, "filter_step", step)
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=10, seed=0)
-    res = run_trial(cfg, "ekf", 0, make_trajectory(cfg, 0))
+    traj = make_trajectory(cfg, 0)
+    res = run_trial(cfg, "ekf", 0, traj)
     assert seen == [0, 1, 2]
     assert res.diverged and res.rmse is None
     assert res.steps == 3
+    run = run_filter(scenario_models(cfg), "ekf", traj, parse_rule(cfg.mm))
+    assert run.failure == (3, "DIVERGENCE_LIMIT")
+    assert run.steps == len(run.diagnostics) == 3
 
 
 # ---------------------------------------------------------------------------

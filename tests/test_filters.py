@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanofilter.bench import make_trajectory
-from nanofilter.errors import EstimationError, ModelNotLinear, NonFiniteMeasurement
+from nanofilter.errors import EstimationError, ModelNotLinear, NonFiniteMeasurement, PDFailure
 from nanofilter.filters import (
     FILTER_IDS,
     ITER_GAMMA,
@@ -15,6 +15,7 @@ from nanofilter.filters import (
     kf_step,
     mm_predict,
     plf_update,
+    predict_update,
     ukf_update,
 )
 from nanofilter.models import StateSpaceModel, linear_model
@@ -234,8 +235,17 @@ def test_filter_step_reaches_rebound_predict_and_update(monkeypatch):
         assert calls == dict.fromkeys(expected.get(fid, ("mm_predict", "nano_update")), 1), fid
 
 
-def test_filter_step_pd_failure_returns_prior():
+def test_predict_update_pd_failure_raises():
     # indefinite exact curvature: large positive residual at the cubic sensor
+    model = duffing_model()
+    belief = GaussianBelief(np.array([1.0, 0.0]), 1e-4 * np.eye(2))
+    y = np.array([5.0])
+    with pytest.raises(PDFailure):
+        predict_update("nano-nopd", belief, None, y, model)
+
+
+def test_filter_step_pd_failure_returns_prior():
+    # the same step through filter_step, which turns the PDFailure into a flag
     model = duffing_model()
     belief = GaussianBelief(np.array([1.0, 0.0]), 1e-4 * np.eye(2))
     y = np.array([5.0])

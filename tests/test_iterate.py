@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nanofilter import filters, nano
+from nanofilter import bench, filters, nano
 from nanofilter.bench import make_trajectory
 from nanofilter.filters import ITER_GAMMA, ITER_MAX, PD_FAILED, SINGLE_PASS, GaussianBelief, filter_step, iterate
 from nanofilter.quadrature import parse_rule
@@ -133,3 +133,36 @@ def _range_loops_over_max_iters(path):
 def test_only_iterate_loops_to_max_iters():
     found = {module.__name__: _range_loops_over_max_iters(module.__file__) for module in (filters, nano)}
     assert found == {"nanofilter.filters": ["iterate"], "nanofilter.nano": []}
+
+
+# ---------------------------------------------------------------------------
+# One failure path: an estimation error reaches the harness unabsorbed
+
+
+def _estimation_error_handlers(path):
+    """Names of the functions in ``path`` with an ``except`` naming PDFailure or EstimationError."""
+    found = []
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                and names(node.type) & {"PDFailure", "EstimationError"}):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(Path(path).read_text()), None)
+    return found
+
+
+def test_only_filter_step_catches_an_estimation_error():
+    # filter_step turns a PDFailure into a flag for perfbench's callers only;
+    # the harness steps through predict_update, which lets every error through
+    found = {module.__name__: _estimation_error_handlers(module.__file__) for module in (filters, nano)}
+    assert found == {"nanofilter.filters": ["filter_step"], "nanofilter.nano": []}
+    assert bench.filter_step is filters.predict_update

@@ -106,7 +106,7 @@ def ref_nano_update(prior, y, model, rule, cfg):
                 break
     except NotPositiveDefinite as exc:
         raise PDFailure(f"covariance update lost positive definiteness: {exc}") from exc
-    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, delta < cfg.gamma, False, 0.0)
+    return GaussianBelief(mean, cov), UpdateDiagnostics(iterations, delta, delta < cfg.gamma, 0.0)
 
 
 def ref_iekf_update(prior, y, model, max_iters=ITER_MAX):
@@ -124,7 +124,7 @@ def ref_iekf_update(prior, y, model, max_iters=ITER_MAX):
             break
     closure = identity(P.shape[0]) - gain @ G
     cov = symmetrize(closure @ P @ closure.T + gain @ model.R @ gain.T)
-    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, False, 0.0)
+    return GaussianBelief(xi, cov), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, 0.0)
 
 
 def ref_plf_update(prior, y, model, rule, max_iters=ITER_MAX):
@@ -145,7 +145,7 @@ def ref_plf_update(prior, y, model, rule, max_iters=ITER_MAX):
         xi, Pi = x_next, P_next
         if delta < ITER_GAMMA:
             break
-    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, False, 0.0)
+    return GaussianBelief(xi, Pi), UpdateDiagnostics(iterations, delta, delta < ITER_GAMMA, 0.0)
 
 
 # ---------------------------------------------------------------------------
