@@ -194,7 +194,7 @@ def gaussian_noise(cov: Array) -> NoiseSpec:
 def laplace_noise(scale: Array) -> NoiseSpec:
     """Independent Laplace components with the given per-axis scales."""
     scale = np.asarray(scale, dtype=float)
-    if np.any(scale < 0):
+    if not np.all(scale >= 0):
         raise ValueError("laplace scale must be nonnegative")
     return NoiseSpec(kind="laplace", dim=scale.shape[0], scale=scale)
 
@@ -217,7 +217,7 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
     """Gaussian nominally; with probability ``prob`` a replicated Beta(a,b) draw."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("outlier probability must be in [0, 1]")
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("beta shape parameters must be positive")
     nominal_cov = np.asarray(nominal_cov, dtype=float)
     return NoiseSpec(

@@ -64,7 +64,7 @@ class NanoConfig:
             raise ValueError(f"cov_update must be one of {COV_UPDATES}, got {self.cov_update!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.gamma <= 0 or self.max_iters < 1 or self.epsilon < 0:
+        if not (self.gamma > 0 and self.max_iters >= 1 and self.epsilon >= 0):
             raise ValueError("gamma > 0, max_iters >= 1, epsilon >= 0 required")
 
 
@@ -123,8 +123,10 @@ def _expected_derivatives(
     The only code that forms them; the ``*_loglik*`` functions take one point
     of weight 1.  One model call on the whole stack gives every value the
     pass needs: ``jac_g`` in Gauss-Newton mode, ``hess_g`` if ``exact``, each
-    returning ``g`` with its derivatives.  Raises ``MissingHessian`` if
-    ``exact`` and the model has no ``hess_g``.
+    returning ``g`` with its derivatives.  Both curvature terms are stacked
+    products over the points: the Gauss-Newton ``G^T R^{-1} G`` and, if
+    ``exact``, each point's ``hess_g`` contracted with its ``R^{-1} (g - y)``.
+    Raises ``MissingHessian`` if ``exact`` and the model has no ``hess_g``.
     """
     if exact and model.hess_g is None:
         raise MissingHessian(f"model {model.name!r} provides no measurement second derivatives")
@@ -137,15 +139,9 @@ def _expected_derivatives(
     v_x = (w[:, None] * (np.swapaxes(scaled, -1, -2) @ resid[..., None])[..., 0]).sum(axis=0)
     h = np.swapaxes(G, -1, -2) @ scaled               # (N, n, n)
     if exact:
-        # hess_g sees the whole stack, but the contraction with each point's
-        # weighted residual stays per point.  Batched too, the term would cost
-        # almost nothing, and nano-nopd's duffing updates, which fail after a
-        # few passes, would then time faster than nano's converged ones:
-        # acceptance criterion 4's timing clause compares pass counts, not the
-        # cost of curvature (ROADMAP item 5 (a)).
-        hess = lin.hess                               # (N, m, n, n)
-        for i in range(len(pts)):
-            h[i] += np.tensordot(model.R_inv @ resid[i], hess[i], axes=1)
+        N, m, n = G.shape
+        wres = (model.R_inv @ resid[..., None])[..., 0]   # R^{-1} (g - y), (N, m)
+        h += (wres[:, None, :] @ lin.hess.reshape(N, m, n * n)).reshape(N, n, n)
     v_xx = (w[:, None, None] * h).sum(axis=0)
     v_xx = 0.5 * (v_xx + v_xx.T)
     # Checked after symmetrizing, so an entry that overflows there is named

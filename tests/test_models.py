@@ -143,6 +143,17 @@ def test_beta_replacement_noise():
         beta_outlier_noise(0.1, 0.0, 1.0, np.eye(1))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: laplace_noise(np.array([1.0, np.nan])),
+    lambda: beta_outlier_noise(0.1, np.nan, 1.0, np.eye(1)),
+    lambda: beta_outlier_noise(0.1, 1.0, np.nan, np.eye(1)),
+], ids=["laplace-scale", "beta-a", "beta-b"])
+def test_noise_rejects_nan_parameters(make):
+    # numpy's beta draw returns NaN for a NaN shape instead of raising
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_sample_noise_unknown_kind():
     with pytest.raises(ValueError):
         sample_noise(NoiseSpec(kind="cauchy", dim=1), np.random.default_rng(0))

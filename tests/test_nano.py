@@ -115,14 +115,49 @@ def test_expected_derivatives_collapse_to_point_values():
     np.testing.assert_allclose(v_xx2, hess_loglik(x, y, model), atol=1e-5)
 
 
+def dense_r_model():
+    """2-D model with g = (x0 x1, sin x0 + x1^2) and correlated measurement noise."""
+    def g(x):
+        return np.stack([x[..., 0] * x[..., 1], np.sin(x[..., 0]) + x[..., 1] ** 2], axis=-1)
+
+    def jac(x):
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0], J[..., 0, 1] = x[..., 1], x[..., 0]
+        J[..., 1, 0], J[..., 1, 1] = np.cos(x[..., 0]), 2.0 * x[..., 1]
+        return J
+
+    def hess(x):
+        H = np.zeros(x.shape[:-1] + (2, 2, 2))
+        H[..., 0, 0, 1] = H[..., 0, 1, 0] = 1.0
+        H[..., 1, 0, 0], H[..., 1, 1, 1] = -np.sin(x[..., 0]), 2.0
+        return H
+
+    return StateSpaceModel(
+        name="dense-r", n=2, m=2,
+        f=lambda x, u, t: x,
+        g=g,
+        jac_f=lambda x, u, t: np.eye(2),
+        jac_g=lambda x: MeasurementJacobian(g(x), jac(x)),
+        hess_g=lambda x: MeasurementHessian(g(x), jac(x), hess(x)),
+        Q=np.eye(2), R=np.array([[1.0, 0.4], [0.4, 0.5]]),
+    )
+
+
 @pytest.mark.parametrize("exact", [False, True])
-def test_expected_derivatives_equal_a_per_point_loop(exact):
-    model = attitude_model()
+@pytest.mark.parametrize("rule", ["cubature", "gh:3"])
+@pytest.mark.parametrize("make_model", [fm_demodulator, attitude_model, duffing_model, dense_r_model],
+                         ids=["fm", "attitude", "duffing", "dense-r"])
+def test_expected_derivatives_equal_a_per_point_loop(make_model, rule, exact):
+    # a dense R gives each entry of R^{-1} r several terms, so only there can
+    # the stacked and the per-point products round differently
+    model = make_model()
+    n, m = model.n, model.m
     rng = np.random.default_rng(4)
-    s = 0.05 * rng.standard_normal((3, 3))
-    cset = generate_points(parse_rule("gh:3"), 0.3 * rng.standard_normal(3), s @ s.T + 1e-4 * np.eye(3))
-    y = model.g(np.array([0.3, -0.2, 0.1])) + 0.01 * rng.standard_normal(6)
-    v_x, v_xx = np.zeros(3), np.zeros((3, 3))
+    s = 0.05 * rng.standard_normal((n, n))
+    x0 = 0.3 * rng.standard_normal(n)
+    cset = generate_points(parse_rule(rule), x0, s @ s.T + 1e-4 * np.eye(n))
+    y = model.g(x0 + 0.1 * rng.standard_normal(n)) + 0.01 * rng.standard_normal(m)
+    v_x, v_xx = np.zeros(n), np.zeros((n, n))
     for w, p in zip(cset.mean_weights, cset.points):
         G = model.jac_g(p).jac
         scaled = model.R_inv @ G
@@ -250,6 +285,13 @@ def test_config_validation():
         NanoConfig(gamma=0.0)
     with pytest.raises(ValueError):
         NanoConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "epsilon"])
+def test_config_rejects_nan(field):
+    # NaN fails every comparison: a NaN gamma would leave every update unconverged
+    with pytest.raises(ValueError):
+        NanoConfig(**{field: float("nan")})
 
 
 def test_presets():
