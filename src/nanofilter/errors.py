@@ -4,8 +4,24 @@ An estimator breaking down on its data raises an :class:`EstimationError`;
 the benchmark driver counts it as a divergence of that trial.  Asking for
 something that cannot run (a filter the model does not support, a scenario
 or level off the catalogue, unpaired sequences) is a usage error and raises a
-:class:`ValueError` subclass, which no trial absorbs.
+:class:`ValueError` subclass, which no trial absorbs.  :func:`integer_at_least`
+is the one check behind every count a setting holds (passes, steps, trials,
+seed).
 """
+
+import operator
+
+
+def integer_at_least(value, minimum: int) -> bool:
+    """Whether ``value`` is an integer no less than ``minimum``.
+
+    An integer is anything ``operator.index`` accepts: ``int`` and numpy
+    integers, not floats (``2.0`` included) and not NaN.
+    """
+    try:
+        return operator.index(value) >= minimum
+    except TypeError:
+        return False
 
 
 class EstimationError(Exception):

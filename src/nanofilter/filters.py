@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure
+from .errors import ModelNotLinear, NonFiniteMeasurement, PDFailure, integer_at_least
 from .linalg import all_finite, chol_solve, identity, spd_solve, symmetrize
 from .models import StateSpaceModel
 from .quadrature import SigmaPointRule, generate_points, propagate_moments, propagate_with_cross
@@ -26,26 +27,30 @@ ITER_GAMMA = 1e-6
 ITER_MAX = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianBelief:
-    """Gaussian state estimate (mean, covariance).
+    """Gaussian state estimate (mean, covariance), both float arrays.
 
     The covariance is expected to stay symmetric positive definite; producers
     symmetrize, and the SPD property is enforced wherever a factorization is
-    actually needed.
+    actually needed.  Frozen: the fields cannot be reassigned.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+    def __init__(self, mean, cov):
+        # One conversion and one set per field; a generated __init__ and a
+        # __post_init__ would set each field twice.
+        object.__setattr__(self, "mean", np.asarray(mean, dtype=float))
+        object.__setattr__(self, "cov", np.asarray(cov, dtype=float))
 
 
-@dataclass(frozen=True)
-class UpdateDiagnostics:
+class UpdateDiagnostics(NamedTuple):
     """Per-update bookkeeping returned by every measurement update.
+
+    A named tuple: immutable, iterable in field order, and equal to any
+    tuple of equal fields.
 
     ``iterations`` counts the passes the update made (1 for the single-pass
     updates).  ``final_delta`` is the change made by the last pass: the norm
@@ -81,10 +86,10 @@ def iterate(one_pass, state, max_iters: int, tol: float):
     last statistic, and whether it fell below ``tol``.  Every iterated update
     (:func:`iekf_update`, :func:`plf_update`,
     :func:`~nanofilter.nano.nano_update`) is one pass plus one call of this
-    function.
+    function.  ``max_iters`` must be an integer of at least 1.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not integer_at_least(max_iters, 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     for iterations in range(1, max_iters + 1):
         state, delta = one_pass(state)
         if delta < tol:

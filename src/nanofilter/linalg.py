@@ -198,7 +198,8 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def chol_inverse(factor: np.ndarray) -> np.ndarray:
     """Inverse of ``L @ L.T`` from its lower Cholesky factor ``L``, symmetrized."""
-    return symmetrize(chol_solve(factor, identity(factor.shape[0])))
+    inv = chol_solve(factor, identity(factor.shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure, SingularFactor
+from .errors import (MissingHessian, NonFiniteFunctionValue, NonFiniteIterate, NotPositiveDefinite, PDFailure,
+                     SingularFactor, integer_at_least)
 from .filters import ITER_GAMMA, ITER_MAX, GaussianBelief, UpdateDiagnostics, ekf_update, iterate
 from .linalg import all_finite, chol_inverse, cholesky_factor, identity, qr_upper, spd_inverse, tril_solve
 from .models import StateSpaceModel
@@ -64,8 +65,8 @@ class NanoConfig:
             raise ValueError(f"cov_update must be one of {COV_UPDATES}, got {self.cov_update!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if not (self.gamma > 0 and self.max_iters >= 1 and self.epsilon >= 0):
-            raise ValueError("gamma > 0, max_iters >= 1, epsilon >= 0 required")
+        if not (self.gamma > 0 and integer_at_least(self.max_iters, 1) and self.epsilon >= 0):
+            raise ValueError("gamma > 0, integer max_iters >= 1, epsilon >= 0 required")
 
 
 # Filter-id presets; the four published variants of the update.
@@ -136,13 +137,13 @@ def _expected_derivatives(
     scaled = model.R_inv @ G                          # R^{-1} G, reused below
     resid = lin.value - y                             # (N, m)
     # Weighted sums over axis 0 add the points in order, as a loop would.
-    v_x = (w[:, None] * (np.swapaxes(scaled, -1, -2) @ resid[..., None])[..., 0]).sum(axis=0)
-    h = np.swapaxes(G, -1, -2) @ scaled               # (N, n, n)
+    v_x = np.add.reduce(w[:, None] * (scaled.transpose(0, 2, 1) @ resid[..., None])[..., 0], 0)
+    h = G.transpose(0, 2, 1) @ scaled                 # (N, n, n)
     if exact:
         N, m, n = G.shape
         wres = (model.R_inv @ resid[..., None])[..., 0]   # R^{-1} (g - y), (N, m)
         h += (wres[:, None, :] @ lin.hess.reshape(N, m, n * n)).reshape(N, n, n)
-    v_xx = (w[:, None, None] * h).sum(axis=0)
+    v_xx = np.add.reduce(w[:, None, None] * h, 0)
     v_xx = 0.5 * (v_xx + v_xx.T)
     # Checked after symmetrizing, so an entry that overflows there is named
     # as a non-finite value and not as a later loss of positive definiteness.

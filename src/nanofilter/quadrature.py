@@ -31,12 +31,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteFunctionValue
-from .linalg import all_finite, cholesky_factor, symmetrize, tridiagonal_eigh
+from .linalg import all_finite, cholesky_factor, tridiagonal_eigh
 
 GH_MIN_ORDER = 2
 GH_MAX_ORDER = 10
@@ -79,15 +79,15 @@ def parse_rule(text: str) -> SigmaPointRule:
     raise ValueError(f"unknown sigma-point rule {text!r}")
 
 
-@dataclass(frozen=True)
-class CollocationSet:
+class CollocationSet(NamedTuple):
     """Weighted points representing one Gaussian.
 
     ``points`` is ``center + U @ spread.T`` for the rule's cached unit grid
     ``U``.  ``mean_weights`` are used for means / generic expectations,
     ``cov_weights`` for (co)variances; they differ only for the unscented
     rule's center point.  Both weight arrays are the rule's cached ones,
-    shared between sets and read-only.
+    shared between sets and read-only.  A named tuple: its fields cannot be
+    reassigned, and it unpacks in field order.
     """
 
     points: np.ndarray        # (N, n)
@@ -185,7 +185,8 @@ def _moments(
     vals = _apply(h, cset.points)
     mean = cset.mean_weights @ vals
     dev = vals - mean
-    return mean, symmetrize((dev * cset.cov_weights[:, None]).T @ dev), dev
+    cov = (dev * cset.cov_weights[:, None]).T @ dev
+    return mean, 0.5 * (cov + cov.T), dev
 
 
 def propagate_moments(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownLevel, UnknownScenario
+from .errors import UnknownLevel, UnknownScenario, integer_at_least
 from .models import (
     NoiseSpec,
     StateSpaceModel,
@@ -50,7 +50,12 @@ OUTLIER_GRID = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one Monte Carlo experiment."""
+    """Everything needed to reproduce one Monte Carlo experiment.
+
+    ``horizon`` and ``trials`` are integers of at least 1 and ``seed`` an
+    integer of at least 0; anything else raises ``ValueError`` here, before
+    any simulation.
+    """
 
     model: str
     mismatch_kind: str = "none"
@@ -68,10 +73,11 @@ class ScenarioConfig:
                 f"unknown mismatch kind {self.mismatch_kind!r}; expected one of {MISMATCH_KINDS}"
             )
         _check_level(self.model, self.mismatch_kind, self.mismatch_level)
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        for name, minimum, sign in (("horizon", 1, "positive"), ("trials", 1, "positive"),
+                                    ("seed", 0, "nonnegative")):
+            value = getattr(self, name)
+            if not integer_at_least(value, minimum):
+                raise ValueError(f"{name} must be {sign} (an integer >= {minimum}), got {value!r}")
         parse_rule(self.mm)
 
 

@@ -410,6 +410,22 @@ def test_bad_scenario_rejected_before_any_trajectory(monkeypatch, run, error, ma
     assert calls == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 0), ("horizon", float("nan")), ("horizon", 2.5), ("horizon", 20.0),
+    ("trials", 0), ("trials", float("nan")), ("trials", 2.5),
+    ("seed", -1), ("seed", float("nan")), ("seed", 2.5),
+])
+def test_scenario_config_rejects_a_bad_count(field, value):
+    # NaN fails the check too: each check passes only a value that meets it
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(model="duffing", **{field: value})
+
+
+def test_scenario_config_takes_numpy_integer_counts():
+    cfg = ScenarioConfig(model="duffing", horizon=np.int64(5), trials=np.int32(2), seed=np.int64(0))
+    assert (cfg.horizon, cfg.trials, cfg.seed) == (5, 2, 0)
+
+
 @pytest.mark.parametrize("kind", ["none", "bogus"])
 def test_mismatch_grid_rejects_a_kind_without_a_grid(kind):
     assert mismatch_grid("fm", "outlier") == (0.0, 0.01, 0.04, 0.07, 0.1)

@@ -101,6 +101,14 @@ def test_nonpositive_horizon_exit_2(horizon, tmp_path, capsys):
     assert "horizon must be positive" in capsys.readouterr().err
 
 
+def test_negative_seed_exit_2(tmp_path, capsys):
+    # rejected by the scenario's own check, before numpy's generator sees it
+    assert main(["run", "--model", "duffing", "--seed", "-1", "--trials", "1",
+                 "--horizon", "5", "--out", str(tmp_path)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_sweep_smoke(tmp_path):
     code = main(["sweep", "--model", "duffing", "--mismatch", "outlier",
                  "--levels", "0.0,0.05", "--filter", "ekf,nano",

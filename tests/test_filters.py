@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from nanofilter.filters import (
     FILTER_IDS,
     ITER_GAMMA,
     ITER_MAX,
+    PD_FAILED,
+    SINGLE_PASS,
     GaussianBelief,
+    UpdateDiagnostics,
     ekf_predict,
     ekf_update,
     filter_step,
@@ -202,6 +207,22 @@ def test_iterated_updates_reject_zero_iterations():
         plf_update(belief, y, model, RULE, max_iters=0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 2.0, float("nan"), "3"])
+def test_iterated_updates_reject_a_non_integer_cap(max_iters):
+    model, belief, _, y = random_linear(9)
+    with pytest.raises(ValueError, match="max_iters"):
+        iekf_update(belief, y, model, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        plf_update(belief, y, model, RULE, max_iters=max_iters)
+
+
+def test_iterated_updates_take_a_numpy_integer_cap():
+    model, belief, _, y = random_linear(9)
+    post, diag = iekf_update(belief, y, model, max_iters=np.int64(1))
+    assert diag.iterations == 1
+    assert np.array_equal(post.mean, ekf_update(belief, y, model)[0].mean)
+
+
 def test_filter_step_reaches_rebound_predict_and_update(monkeypatch):
     # a tracer rebinds module attributes; every step must go through them
     from nanofilter import filters, nano
@@ -324,3 +345,27 @@ def test_gaussian_belief_coerces_arrays():
     b = GaussianBelief([1.0, 2.0], [[1.0, 0.0], [0.0, 2.0]])
     assert isinstance(b.mean, np.ndarray) and b.mean.dtype == float
     assert b.cov.shape == (2, 2)
+    b = GaussianBelief([0, 1], [[1, 0], [0, 1]])
+    assert b.mean.dtype == np.float64 and b.cov.dtype == np.float64
+    assert np.array_equal(b.mean, [0.0, 1.0]) and np.array_equal(b.cov, np.eye(2))
+    assert [f.name for f in dataclasses.fields(b)] == ["mean", "cov"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.mean = np.zeros(2)
+    # float64 arrays are taken as they are, not copied
+    mean, cov = np.zeros(2), np.eye(2)
+    b = GaussianBelief(mean, cov)
+    assert b.mean is mean and b.cov is cov
+
+
+def test_update_diagnostics_record():
+    assert UpdateDiagnostics._fields == ("iterations", "final_delta", "converged", "update_ms",
+                                         "pd_failure")
+    diag = UpdateDiagnostics(1, 0.0, True, 0.0)
+    assert diag.pd_failure is False
+    assert diag == SINGLE_PASS and diag != PD_FAILED
+    assert UpdateDiagnostics(1, 0.0, True, 2.5) != SINGLE_PASS
+    # a named tuple: unpacks in field order and compares as a tuple
+    assert tuple(diag) == (1, 0.0, True, 0.0, False)
+    assert diag == (1, 0.0, True, 0.0, False)
+    with pytest.raises(AttributeError):
+        diag.update_ms = 1.0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import nanofilter
 from nanofilter import bench, filters, nano
 from nanofilter.bench import make_trajectory
 from nanofilter.filters import ITER_GAMMA, ITER_MAX, PD_FAILED, SINGLE_PASS, GaussianBelief, filter_step, iterate
@@ -45,6 +46,12 @@ def test_nan_statistic_does_not_converge():
 @pytest.mark.parametrize("max_iters", [0, -1])
 def test_rejects_fewer_than_one_pass(max_iters):
     with pytest.raises(ValueError):
+        iterate(scripted([]), 0, max_iters=max_iters, tol=0.1)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 2.0, float("nan"), float("inf"), None])
+def test_rejects_a_non_integer_cap(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
         iterate(scripted([]), 0, max_iters=max_iters, tol=0.1)
 
 
@@ -133,6 +140,36 @@ def _range_loops_over_max_iters(path):
 def test_only_iterate_loops_to_max_iters():
     found = {module.__name__: _range_loops_over_max_iters(module.__file__) for module in (filters, nano)}
     assert found == {"nanofilter.filters": ["iterate"], "nanofilter.nano": []}
+
+
+# ---------------------------------------------------------------------------
+# numpy floor: pyproject.toml declares numpy>=1.24
+
+
+def _numpy2_transposes(path):
+    """Line numbers in ``path`` that use ``.mT`` or ``matrix_transpose``, both numpy >= 2.0 only."""
+    return [node.lineno for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("mT", "matrix_transpose")
+            or isinstance(node, ast.Name) and node.id == "matrix_transpose"
+            or isinstance(node, ast.alias) and node.name == "matrix_transpose"]
+
+
+def test_package_uses_no_numpy2_only_transpose():
+    sources = sorted(Path(nanofilter.__file__).parent.glob("*.py"))
+    assert sources
+    found = {path.name: _numpy2_transposes(path) for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_numpy2_transpose_guard_sees_each_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy import matrix_transpose\n"
+                     "a = x.mT\n"
+                     "b = np.matrix_transpose(x)\n"
+                     "c = matrix_transpose(x)\n"
+                     "d = x.transpose(0, 2, 1)\n")
+    assert sorted(set(_numpy2_transposes(probe))) == [2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------

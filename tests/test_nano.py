@@ -287,6 +287,13 @@ def test_config_validation():
         NanoConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, float("nan"), "3"])
+def test_config_rejects_a_non_integer_cap(max_iters):
+    # a float cap used to construct and then fail in the first update's range()
+    with pytest.raises(ValueError, match="max_iters"):
+        NanoConfig(max_iters=max_iters)
+
+
 @pytest.mark.parametrize("field", ["gamma", "epsilon"])
 def test_config_rejects_nan(field):
     # NaN fails every comparison: a NaN gamma would leave every update unconverged

@@ -6,6 +6,7 @@ import pytest
 from nanofilter.errors import NonFiniteFunctionValue
 from nanofilter.quadrature import (
     GH_MAX_POINTS,
+    CollocationSet,
     SigmaPointRule,
     _apply,
     _hermite_nodes,
@@ -207,3 +208,12 @@ def test_hermite_nodes_match_scipys_eigh_tridiagonal(order):
     nodes, weights = _hermite_nodes(order)
     assert nodes.tobytes() == want_nodes.tobytes()
     assert weights.tobytes() == (vecs[0] ** 2).tobytes()
+
+
+def test_collocation_set_record():
+    assert CollocationSet._fields == ("points", "mean_weights", "cov_weights", "center", "spread")
+    cset = generate_points(SigmaPointRule("cubature"), np.zeros(2), np.eye(2))
+    points, mean_weights, cov_weights, center, spread = cset
+    assert points is cset.points and spread is cset.spread
+    with pytest.raises(AttributeError):
+        cset.points = np.zeros((4, 2))
