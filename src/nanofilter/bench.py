@@ -45,13 +45,19 @@ def rmse(truth: np.ndarray, estimates: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one filter on one simulated trajectory."""
+    """Outcome of one filter on one simulated trajectory.
+
+    ``rmse`` is None exactly when the run diverged.
+    """
 
     trial: int
     rmse: float | None
-    diverged: bool
     steps: int
     update_ms: float | None
+
+    @property
+    def diverged(self) -> bool:
+        return self.rmse is None
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,12 @@ class FilterRun:
     means: np.ndarray                 # (steps, n)
     covs: np.ndarray                  # (steps, n, n)
     diagnostics: tuple[UpdateDiagnostics, ...]
-    steps: int                        # completed update steps
     failure: tuple[int, str] | None
+
+    @property
+    def steps(self) -> int:
+        """Completed update steps."""
+        return len(self.diagnostics)
 
     @property
     def diverged(self) -> bool:
@@ -94,7 +104,6 @@ def run_filter(
     means = np.empty((total, model.n))
     covs = np.empty((total, model.n, model.n))
     diags: list[UpdateDiagnostics] = []
-    steps = 0
     failure = None
 
     for t in range(1, total + 1):
@@ -109,13 +118,13 @@ def run_filter(
         diags.append(diag)
         means[t - 1] = belief.mean
         covs[t - 1] = belief.cov
-        steps = t
         # Every comparison with NaN is false, so a NaN component diverges too.
         if not all(abs(v) <= DIVERGENCE_LIMIT for v in belief.mean.tolist()):
             failure = (t, "DIVERGENCE_LIMIT")
             break
 
-    return FilterRun(means[:steps], covs[:steps], tuple(diags), steps, failure)
+    steps = len(diags)
+    return FilterRun(means[:steps], covs[:steps], tuple(diags), failure)
 
 
 def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup | None = None) -> Trajectory:
@@ -154,7 +163,7 @@ def run_trial(
     err = None if run.diverged else rmse(traj.states[1:], run.means)
     times = [d.update_ms for d in run.diagnostics]
     mean_ms = float(np.mean(times)) if times else None
-    return TrialResult(trial, err, run.diverged, run.steps, mean_ms)
+    return TrialResult(trial, err, run.steps, mean_ms)
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,11 @@ class BenchmarkReport:
     """All trial results of one scenario, per filter, in trial order."""
 
     scenario: ScenarioConfig
-    filter_ids: tuple[str, ...]
     results: dict[str, list[TrialResult]]
+
+    @property
+    def filter_ids(self) -> tuple[str, ...]:
+        return tuple(self.results)
 
     def stats(self, filter_id: str) -> FilterStats:
         rows = self.results[filter_id]
@@ -231,10 +243,13 @@ def run_monte_carlo(
 ) -> BenchmarkReport:
     """Paired Monte Carlo over ``cfg.trials`` trajectories for each filter.
 
-    The config and the filter ids (known, none repeated) are validated first;
-    then every trial's trajectory is simulated up front in one batched call
-    (:func:`make_trajectories`), and the trials run in order, each through every filter.
+    The config and the filter ids (a sequence of known ids, none repeated, not
+    one bare string) are validated first; then every trial's trajectory is
+    simulated up front in one batched call (:func:`make_trajectories`), and
+    the trials run in order, each through every filter.
     """
+    if isinstance(filter_ids, str):
+        raise ValueError(f"filter_ids must be a sequence of filter ids, not the string {filter_ids!r}")
     for fid in filter_ids:
         lookup_filter(fid)   # an unknown id raises before anything is simulated
     if len(set(filter_ids)) != len(filter_ids):
@@ -250,7 +265,7 @@ def run_monte_carlo(
     for trial, traj in enumerate(trajectories):
         for fid in filter_ids:
             results[fid].append(run_trial(cfg, fid, trial, traj, setup))
-    return BenchmarkReport(scenario=cfg, filter_ids=tuple(filter_ids), results=results)
+    return BenchmarkReport(scenario=cfg, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +374,11 @@ def parse_trials_csv(path) -> dict[str, list[TrialResult]]:
         if header != TRIALS_HEADER:
             raise ValueError(f"unexpected header {header!r}")
         for rec in reader:
-            _, fid, trial, err, diverged, steps, ms = rec
+            _, fid, trial, err, _, steps, ms = rec
             out.setdefault(fid, []).append(
                 TrialResult(
                     trial=int(trial),
                     rmse=float(err) if err else None,
-                    diverged=diverged == "true",
                     steps=int(steps),
                     update_ms=float(ms) if ms else None,
                 )

@@ -10,8 +10,12 @@ an exact linear form).  ``Q``/``R`` are the *filter's* Gaussian noise
 covariances; what the simulator actually draws is described separately by
 :class:`NoiseSpec`, so model mismatch and heavy-tailed truth are expressible.
 
-``f`` and ``g`` map a stack of states ``x`` of shape ``(..., n)`` to
-``(..., n)`` and ``(..., m)``; a single ``(n,)`` state is the empty-stack case.
+The model's dimensions are those of its own parts: the state dimension ``n``
+is the order of ``Q``, the measurement dimension ``m`` the order of ``R``,
+and a control input has the width of the vectors ``control`` returns; none
+is a separate setting.  ``f`` and ``g`` map a stack of states ``x`` of shape
+``(..., n)`` to ``(..., n)`` and ``(..., m)``; a single ``(n,)`` state is the
+empty-stack case.
 ``jac_g`` returns a :class:`MeasurementJacobian` and ``hess_g`` a
 :class:`MeasurementHessian`: ``g``'s value with its ``(..., m, n)`` Jacobian
 (and ``(..., m, n, n)`` second derivatives), all from one evaluation, so an
@@ -68,7 +72,9 @@ class LinearParts:
 class StateSpaceModel:
     """Nonlinear state-space model with the derivatives filters need.
 
-    ``f(x, u, t)`` and ``jac_f(x, u, t)`` take ``u=None`` when ``l == 0``.
+    ``n`` and ``m`` are not arguments: they are read off ``Q`` and ``R``,
+    which must be square and finite.  ``f(x, u, t)`` and ``jac_f(x, u, t)``
+    take ``u=control(t)``, or ``u=None`` for a model without ``control``.
     ``f``, ``g``, ``jac_g`` and ``hess_g`` accept a stack ``x`` of shape
     ``(..., n)`` and return one result per state, with the stack shape leading.
     ``f`` and ``g`` return ``(..., n)`` and ``(..., m)`` arrays.  ``jac_g``
@@ -82,27 +88,28 @@ class StateSpaceModel:
     """
 
     name: str
-    n: int
-    m: int
     f: Dynamics
     g: Measurement
     jac_f: Callable[[Array, Array | None, int], Array]
     jac_g: Callable[[Array], MeasurementJacobian]
     Q: Array
     R: Array
-    l: int = 0
     hess_g: Callable[[Array], MeasurementHessian] | None = None
     control: Callable[[int], Array] | None = None
     linear: LinearParts | None = None
+    n: int = field(init=False)
+    m: int = field(init=False)
     R_inv: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.Q = symmetrize(np.asarray(self.Q, dtype=float))
-        self.R = symmetrize(np.asarray(self.R, dtype=float))
-        if self.Q.shape != (self.n, self.n):
-            raise ValueError(f"Q must be ({self.n}, {self.n}), got {self.Q.shape}")
-        if self.R.shape != (self.m, self.m):
-            raise ValueError(f"R must be ({self.m}, {self.m}), got {self.R.shape}")
+        for name in ("Q", "R"):
+            cov = np.asarray(getattr(self, name), dtype=float)
+            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+                raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+            if not all_finite(cov):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, symmetrize(cov))
+        self.n, self.m = self.Q.shape[0], self.R.shape[0]
         # R must be usable as a Gaussian likelihood covariance.
         self.R_inv = spd_inverse(self.R)
 
@@ -115,13 +122,14 @@ def linear_model(
     B: Array | None = None,
     name: str = "linear",
 ) -> StateSpaceModel:
-    """Wrap explicit (A, B, H) matrices as a StateSpaceModel with exact parts."""
+    """Wrap explicit (A, B, H) matrices as a StateSpaceModel with exact parts.
+
+    ``A`` must be ``(n, n)`` and ``H`` ``(m, n)`` for the orders n of ``Q``
+    and m of ``R``; a ``ValueError`` says otherwise.
+    """
     A = np.asarray(A, dtype=float)
     H = np.asarray(H, dtype=float)
     B = None if B is None else np.asarray(B, dtype=float)
-    n = A.shape[0]
-    m = H.shape[0]
-    l = 0 if B is None else B.shape[1]
 
     def f(x, u, t):
         out = (A @ x[..., None])[..., 0]
@@ -135,24 +143,31 @@ def linear_model(
     def jac(x):
         return np.broadcast_to(H, x.shape[:-1] + H.shape)
 
-    return StateSpaceModel(
+    def hess(x):
+        return np.zeros(x.shape[:-1] + H.shape + x.shape[-1:])
+
+    model = StateSpaceModel(
         name=name,
-        n=n,
-        m=m,
-        l=l,
         f=f,
         g=g,
         jac_f=lambda x, u, t: A,
         jac_g=lambda x: MeasurementJacobian(g(x), jac(x)),
-        hess_g=lambda x: MeasurementHessian(g(x), jac(x), np.zeros(x.shape[:-1] + (m, n, n))),
+        hess_g=lambda x: MeasurementHessian(g(x), jac(x), hess(x)),
         Q=Q,
         R=R,
         linear=LinearParts(A=A, H=H, B=B),
     )
+    n, m = model.n, model.m
+    if A.shape != (n, n) or H.shape != (m, n):
+        raise ValueError(f"A must be ({n}, {n}) and H ({m}, {n}), got {A.shape} and {H.shape}")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Noise generation
+
+
+NOISE_KINDS = ("gaussian", "laplace", "gaussian-mixture", "beta-replacement")
 
 
 @dataclass(frozen=True)
@@ -165,11 +180,11 @@ class NoiseSpec:
     Beta(a, b) draw replicated across components, else Gaussian).
     The per-draw RNG consumption is fixed per kind so that trials with equal
     seeds consume the stream identically; an all-zero covariance has an
-    all-zero ``chol`` and still draws.
+    all-zero ``chol`` and still draws.  ``dim`` is the order of ``scale`` for
+    ``laplace`` and of ``chol`` for every other kind.
     """
 
     kind: str
-    dim: int
     chol: Array | None = None
     scale: Array | None = None
     outlier_chol: Array | None = None
@@ -177,36 +192,47 @@ class NoiseSpec:
     beta_a: float = 0.0
     beta_b: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
+
+    @property
+    def dim(self) -> int:
+        return (self.scale if self.kind == "laplace" else self.chol).shape[0]
+
 
 def _noise_root(cov: Array) -> Array:
-    """Cholesky factor of a noise covariance; an all-zero covariance has a zero root."""
+    """Cholesky factor of a noise covariance; an all-zero covariance has a zero root.
+
+    A covariance with a NaN or infinite entry is a bad setting, not a failed
+    estimate, so it raises ``ValueError``.
+    """
     cov = np.asarray(cov, dtype=float)
+    if not all_finite(cov):
+        raise ValueError("noise covariance must be finite")
     if not cov.any():
         return np.zeros_like(cov)
     return cholesky_factor(cov)
 
 
 def gaussian_noise(cov: Array) -> NoiseSpec:
-    cov = np.asarray(cov, dtype=float)
-    return NoiseSpec(kind="gaussian", dim=cov.shape[0], chol=_noise_root(cov))
+    return NoiseSpec(kind="gaussian", chol=_noise_root(cov))
 
 
 def laplace_noise(scale: Array) -> NoiseSpec:
     """Independent Laplace components with the given per-axis scales."""
     scale = np.asarray(scale, dtype=float)
-    if not np.all(scale >= 0):
-        raise ValueError("laplace scale must be nonnegative")
-    return NoiseSpec(kind="laplace", dim=scale.shape[0], scale=scale)
+    if not (all_finite(scale) and np.all(scale >= 0)):
+        raise ValueError("laplace scale must be finite and nonnegative")
+    return NoiseSpec(kind="laplace", scale=scale)
 
 
 def mixture_outlier_noise(prob: float, nominal_cov: Array, outlier_cov: Array) -> NoiseSpec:
     """Gaussian with probability ``1-prob``, inflated Gaussian with ``prob``."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("outlier probability must be in [0, 1]")
-    nominal_cov = np.asarray(nominal_cov, dtype=float)
     return NoiseSpec(
         kind="gaussian-mixture",
-        dim=nominal_cov.shape[0],
         chol=_noise_root(nominal_cov),
         outlier_chol=_noise_root(outlier_cov),
         prob=prob,
@@ -217,12 +243,10 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
     """Gaussian nominally; with probability ``prob`` a replicated Beta(a,b) draw."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("outlier probability must be in [0, 1]")
-    if not (a > 0 and b > 0):
-        raise ValueError("beta shape parameters must be positive")
-    nominal_cov = np.asarray(nominal_cov, dtype=float)
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValueError("beta shape parameters must be finite and positive")
     return NoiseSpec(
         kind="beta-replacement",
-        dim=nominal_cov.shape[0],
         chol=_noise_root(nominal_cov),
         prob=prob,
         beta_a=a,
@@ -256,15 +280,13 @@ def _variate_drawer(spec: NoiseSpec) -> Callable[[np.random.Generator, Array], b
             outlier = rng.random() < spec.prob
             out[:] = rng.standard_normal(dim)
             return outlier
-    elif kind == "beta-replacement":
+    else:  # beta-replacement
         def draw(rng, out):
             if rng.random() < spec.prob:
                 out[:] = rng.beta(spec.beta_a, spec.beta_b)
                 return True
             out[:] = rng.standard_normal(dim)
             return False
-    else:
-        raise ValueError(f"unknown noise kind {spec.kind!r}")
     return draw
 
 
@@ -326,7 +348,10 @@ def simulate_trajectory(
     in one call, and the noise roots multiply stacks of variates.  Each
     stream is drawn in a fixed order -- initial state, then per step: process
     noise, then measurement noise -- so a seed pins its trajectory, whatever
-    streams it shares a call with.  The trajectories own disjoint arrays.
+    streams it shares a call with.  A model's ``control`` is called once per
+    step before the first one; ``f`` gets the rows of the stacked values, which
+    every trajectory keeps as its ``inputs``.  The trajectories own disjoint
+    arrays.
 
     Raises
     ------
@@ -358,14 +383,14 @@ def simulate_trajectory(
     measurement_noise = _shape_noise(measurement, z_meas, meas_out)
 
     states = np.empty((count, steps + 1, n))
-    inputs = np.empty((steps, model.l)) if model.control is not None else None
+    inputs = None
+    if model.control is not None:
+        inputs = np.array([model.control(t) for t in range(steps)], dtype=float)
     x = np.asarray(init_mean, dtype=float) + _root_times(_noise_root(init_cov), z0)
     states[:, 0] = x
     live, failure = count, None
     for t in range(1, steps + 1):
-        u = None
-        if inputs is not None:
-            u = inputs[t - 1] = model.control(t - 1)
+        u = None if inputs is None else inputs[t - 1]
         x = model.f(x, u, t - 1) + process_noise[:live, t - 1]
         if not all_finite(x):
             # Streams below the lowest failing one keep going: one of them may

@@ -65,8 +65,9 @@ class NanoConfig:
             raise ValueError(f"cov_update must be one of {COV_UPDATES}, got {self.cov_update!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if not (self.gamma > 0 and integer_at_least(self.max_iters, 1) and self.epsilon >= 0):
-            raise ValueError("gamma > 0, integer max_iters >= 1, epsilon >= 0 required")
+        # Written so that NaN fails every clause and +-inf fails epsilon's.
+        if not (self.gamma > 0 and integer_at_least(self.max_iters, 1) and 0 <= self.epsilon < np.inf):
+            raise ValueError("gamma > 0, integer max_iters >= 1, finite epsilon >= 0 required")
 
 
 # Filter-id presets; the four published variants of the update.

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteFunctionValue
+from .errors import NonFiniteFunctionValue, integer_at_least
 from .linalg import all_finite, cholesky_factor, tridiagonal_eigh
 
 GH_MIN_ORDER = 2
@@ -50,7 +50,8 @@ _RULE_KINDS = ("cubature", "unscented", "gauss-hermite")
 class SigmaPointRule:
     """Descriptor for a sigma-point rule; independent of dimension.
 
-    ``order`` only matters for ``gauss-hermite``.
+    ``order`` only matters for ``gauss-hermite``, where it must be an integer
+    in ``[GH_MIN_ORDER, GH_MAX_ORDER]``.
     """
 
     kind: str = "cubature"
@@ -59,9 +60,11 @@ class SigmaPointRule:
     def __post_init__(self):
         if self.kind not in _RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {_RULE_KINDS}")
-        if self.kind == "gauss-hermite" and not (GH_MIN_ORDER <= self.order <= GH_MAX_ORDER):
+        if self.kind == "gauss-hermite" and not (
+            integer_at_least(self.order, GH_MIN_ORDER) and self.order <= GH_MAX_ORDER
+        ):
             raise ValueError(
-                f"gauss-hermite order must be in [{GH_MIN_ORDER}, {GH_MAX_ORDER}], got {self.order}"
+                f"gauss-hermite order must be an integer in [{GH_MIN_ORDER}, {GH_MAX_ORDER}], got {self.order!r}"
             )
 
 

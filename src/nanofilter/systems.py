@@ -97,8 +97,6 @@ def fm_demodulator(beta: float = 100.0, matrix_mode: str = "literal") -> StateSp
 
     return StateSpaceModel(
         name="fm",
-        n=2,
-        m=2,
         f=lambda x, u, t: (A @ x[..., None])[..., 0],
         jac_f=lambda x, u, t: A,
         **_measurement_callables(measure),
@@ -274,9 +272,6 @@ def attitude_model(dt: float = 0.01) -> StateSpaceModel:
 
     return StateSpaceModel(
         name="attitude",
-        n=3,
-        m=6,
-        l=3,
         f=f,
         jac_f=jac_f,
         **_measurement_callables(measure),
@@ -343,8 +338,6 @@ def duffing_model(natural_freq: float = 1.0) -> StateSpaceModel:
 
     return StateSpaceModel(
         name="duffing",
-        n=2,
-        m=1,
         f=f,
         jac_f=jac_f,
         **_measurement_callables(measure),

@@ -1,12 +1,13 @@
 """Benchmark harness: RMSE oracle, paired trials, aggregates, CSV round-trips."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from nanofilter.bench import (
     BenchmarkReport,
+    FilterRun,
     TrialResult,
     _worker_count,
     ablate,
@@ -30,6 +31,7 @@ from nanofilter.errors import (
     UnknownScenario,
 )
 from nanofilter.filters import SINGLE_PASS, GaussianBelief
+from nanofilter.models import NoiseSpec, StateSpaceModel
 from nanofilter.quadrature import parse_rule
 from nanofilter.scenarios import ScenarioConfig, mismatch_grid, scenario_models
 
@@ -123,6 +125,36 @@ def test_diverged_trial_truncates():
     assert len(run.diagnostics) == run.steps == res.steps
 
 
+def test_derived_values_are_not_init_parameters():
+    # each of these restates another value of its record, so none is a
+    # constructor argument; each still reads as an attribute
+    def init_names(cls):
+        return {f.name for f in fields(cls) if f.init}
+
+    assert not {"n", "m", "l"} & init_names(StateSpaceModel)
+    assert "dim" not in init_names(NoiseSpec)
+    assert "steps" not in init_names(FilterRun)
+    assert "diverged" not in init_names(TrialResult)
+    assert "filter_ids" not in init_names(BenchmarkReport)
+
+    for model, (n, m) in (("fm", (2, 2)), ("attitude", (3, 6)), ("duffing", (2, 1))):
+        setup = scenario_models(ScenarioConfig(model=model, trials=1, horizon=5))
+        for view in (setup.truth, setup.filter_view):
+            assert (view.n, view.m) == (n, m) == (view.Q.shape[0], view.R.shape[0])
+            assert not hasattr(view, "l")
+        assert (setup.process_noise.dim, setup.measurement_noise.dim) == (n, m)
+
+    cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
+    traj = make_trajectory(cfg, 0)
+    run = run_filter(scenario_models(cfg), "nano-nopd", traj, parse_rule(cfg.mm))
+    assert run.diverged and run.steps == len(run.diagnostics) == run.means.shape[0] > 0
+    report = run_monte_carlo(cfg, ("nano-nopd", "ekf"))
+    assert report.filter_ids == ("nano-nopd", "ekf")
+    diverged, fine = report.results["nano-nopd"][0], report.results["ekf"][0]
+    assert diverged.diverged and diverged.rmse is None and diverged.steps == run.steps
+    assert not fine.diverged and fine.rmse is not None
+
+
 def test_trial_does_not_time_a_failed_update():
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
     res = run_trial(cfg, "nano-nopd", 1, make_trajectory(cfg, 1))  # fails on the very first update
@@ -192,12 +224,12 @@ def test_mean_past_the_limit_diverges_the_trial(monkeypatch, bad):
 def _hand_report():
     cfg = ScenarioConfig(model="duffing", trials=4, horizon=30, seed=0)
     rows = [
-        TrialResult(0, 2.0, False, 30, 1.0),
-        TrialResult(1, 4.0, False, 30, 3.0),
-        TrialResult(2, None, True, 7, 5.0),
-        TrialResult(3, 6.0, False, 30, None),
+        TrialResult(0, 2.0, 30, 1.0),
+        TrialResult(1, 4.0, 30, 3.0),
+        TrialResult(2, None, 7, 5.0),
+        TrialResult(3, 6.0, 30, None),
     ]
-    return BenchmarkReport(scenario=cfg, filter_ids=("ekf",), results={"ekf": rows})
+    return BenchmarkReport(scenario=cfg, results={"ekf": rows})
 
 
 def test_stats_hand_aggregates():
@@ -213,8 +245,8 @@ def test_stats_hand_aggregates():
 
 def test_stats_all_diverged_is_nan():
     cfg = ScenarioConfig(model="duffing", trials=2, horizon=30, seed=0)
-    rows = [TrialResult(0, None, True, 3, 0.5), TrialResult(1, None, True, 0, None)]
-    rep = BenchmarkReport(scenario=cfg, filter_ids=("nano-nopd",), results={"nano-nopd": rows})
+    rows = [TrialResult(0, None, 3, 0.5), TrialResult(1, None, 0, None)]
+    rep = BenchmarkReport(scenario=cfg, results={"nano-nopd": rows})
     st = rep.stats("nano-nopd")
     assert np.isnan(st.mean_rmse) and np.isnan(st.median_rmse)
     assert st.label == "diverge"
@@ -225,12 +257,12 @@ def test_label_majority_threshold():
     assert st.label == "4.000"  # 1 of 4 diverged: below the majority threshold
     cfg = ScenarioConfig(model="duffing", trials=4, horizon=30, seed=0)
     rows = [
-        TrialResult(0, 2.0, False, 30, 1.0),
-        TrialResult(1, None, True, 2, 1.0),
-        TrialResult(2, None, True, 2, 1.0),
-        TrialResult(3, None, True, 2, 1.0),
+        TrialResult(0, 2.0, 30, 1.0),
+        TrialResult(1, None, 2, 1.0),
+        TrialResult(2, None, 2, 1.0),
+        TrialResult(3, None, 2, 1.0),
     ]
-    rep = BenchmarkReport(scenario=cfg, filter_ids=("ekf",), results={"ekf": rows})
+    rep = BenchmarkReport(scenario=cfg, results={"ekf": rows})
     assert rep.stats("ekf").label == "diverge"
 
 
@@ -283,6 +315,21 @@ def test_run_monte_carlo_rejects_unknown_filter(monkeypatch):
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
     with pytest.raises(ValueError, match="unknown filter"):
         run_monte_carlo(cfg, ("ekf", "bogus"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("ids", ["nano", "ekf"])
+def test_monte_carlo_and_sweep_reject_a_bare_string_of_ids(monkeypatch, ids):
+    # iterated, "nano" would be the ids 'n', 'a', 'n', 'o'
+    import nanofilter.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "simulate_trajectory", lambda *a, **k: calls.append(a))
+    cfg = ScenarioConfig(model="duffing", trials=1, horizon=5, seed=0)
+    with pytest.raises(ValueError, match="sequence of filter ids"):
+        run_monte_carlo(cfg, ids)
+    with pytest.raises(ValueError, match="sequence of filter ids"):
+        sweep_mismatch(cfg, "system", (0.0, 0.1), ids)
     assert calls == []
 
 
@@ -505,7 +552,7 @@ def test_parse_rejects_wrong_header(tmp_path):
 
 def test_emit_empty_filter_list(tmp_path):
     cfg = ScenarioConfig(model="fm", trials=1, horizon=5, seed=0)
-    rep = BenchmarkReport(scenario=cfg, filter_ids=(), results={})
+    rep = BenchmarkReport(scenario=cfg, results={})
     paths = emit_report(rep, tmp_path)
     lines = paths[0].read_text().splitlines()
     assert len(lines) == 1  # header only

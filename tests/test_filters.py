@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nanofilter.bench import make_trajectory
 from nanofilter.errors import EstimationError, ModelNotLinear, NonFiniteMeasurement, PDFailure
@@ -321,7 +324,7 @@ def _bare_array_model():
         return out
 
     return StateSpaceModel(
-        name="bare", n=2, m=2,
+        name="bare",
         f=lambda x, u, t: x,
         g=np.sin,
         jac_f=lambda x, u, t: np.eye(2),
@@ -369,3 +372,46 @@ def test_update_diagnostics_record():
     assert diag == (1, 0.0, True, 0.0, False)
     with pytest.raises(AttributeError):
         diag.update_ms = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Property: every filter id on random linear-Gaussian models
+
+
+_ENTRY = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=64)
+
+
+def _spd(draw, dim):
+    root = draw(hnp.arrays(np.float64, (dim, dim), elements=_ENTRY))
+    return root @ root.T + 0.1 * np.eye(dim)
+
+
+@st.composite
+def _linear_cases(draw):
+    """A random linear model with n, m in 1..3, SPD Q, R and prior, and a finite y."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = draw(hnp.arrays(np.float64, (n, n), elements=_ENTRY))
+    H = draw(hnp.arrays(np.float64, (m, n), elements=_ENTRY))
+    model = linear_model(A, H, _spd(draw, n), _spd(draw, m))
+    belief = GaussianBelief(draw(hnp.arrays(np.float64, n, elements=_ENTRY)), _spd(draw, n))
+    y = draw(hnp.arrays(np.float64, m, elements=st.floats(-1e3, 1e3, width=64)))
+    return model, belief, y
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_linear_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_every_filter_gives_a_gaussian_or_an_estimation_error(case, bad, data):
+    model, belief, y = case
+    spoiled = y.copy()
+    spoiled[data.draw(st.integers(0, y.size - 1))] = bad
+    for fid in FILTER_IDS:
+        try:
+            post, _ = predict_update(fid, belief, None, y, model, rule=RULE)
+        except EstimationError:
+            pass
+        else:
+            assert np.isfinite(post.mean).all(), fid
+            assert np.array_equal(post.cov, post.cov.T), fid
+            np.linalg.cholesky(post.cov)
+        with pytest.raises(NonFiniteMeasurement):
+            predict_update(fid, belief, None, spoiled, model, rule=RULE)

@@ -25,7 +25,7 @@ def test_linear_model_wiring():
     H = np.array([[1.0, 0.0]])
     B = np.array([[0.0], [1.0]])
     model = linear_model(A, H, Q=0.1 * np.eye(2), R=np.eye(1), B=B)
-    assert (model.n, model.m, model.l) == (2, 1, 1)
+    assert (model.n, model.m) == (2, 1)
     x = np.array([1.0, 2.0])
     np.testing.assert_allclose(model.f(x, np.array([0.5]), 0), A @ x + B @ np.array([0.5]))
     np.testing.assert_allclose(model.g(x), H @ x)
@@ -68,13 +68,16 @@ def _same_bits(a, b):
 
 
 def test_model_validates_covariance_shapes():
-    with pytest.raises(ValueError):
-        StateSpaceModel(
-            name="bad", n=2, m=1,
-            f=lambda x, u, t: x, g=lambda x: x[:1],
-            jac_f=lambda x, u, t: np.eye(2), jac_g=lambda x: np.eye(1, 2),
-            Q=np.eye(3), R=np.eye(1),
-        )
+    # n and m are the orders of Q and R, so each must be a square matrix
+    for Q, R in ((np.ones((2, 3)), np.eye(1)), (np.ones(2), np.eye(1)),
+                 (np.eye(2), np.ones((1, 2))), (np.eye(2), np.float64(1.0))):
+        with pytest.raises(ValueError, match="square"):
+            StateSpaceModel(
+                name="bad",
+                f=lambda x, u, t: x, g=lambda x: x[:1],
+                jac_f=lambda x, u, t: np.eye(2), jac_g=lambda x: np.eye(1, 2),
+                Q=Q, R=R,
+            )
 
 
 def test_model_r_inv():
@@ -143,20 +146,42 @@ def test_beta_replacement_noise():
         beta_outlier_noise(0.1, 0.0, 1.0, np.eye(1))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: laplace_noise(np.array([1.0, np.nan])),
-    lambda: beta_outlier_noise(0.1, np.nan, 1.0, np.eye(1)),
-    lambda: beta_outlier_noise(0.1, 1.0, np.nan, np.eye(1)),
-], ids=["laplace-scale", "beta-a", "beta-b"])
-def test_noise_rejects_nan_parameters(make):
-    # numpy's beta draw returns NaN for a NaN shape instead of raising
-    with pytest.raises(ValueError):
-        make()
-
-
 def test_sample_noise_unknown_kind():
+    # the spec itself refuses the kind, before any draw
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        NoiseSpec(kind="cauchy")
+
+
+_BAD = [np.nan, np.inf, -np.inf]
+_BAD_IDS = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=_BAD_IDS)
+@pytest.mark.parametrize("make", [
+    lambda bad: laplace_noise(np.array([bad, 1.0])),
+    lambda bad: beta_outlier_noise(0.1, bad, 1.0, np.eye(1)),
+    lambda bad: beta_outlier_noise(0.1, 1.0, bad, np.eye(1)),
+    lambda bad: gaussian_noise(np.array([[1.0, bad], [bad, 1.0]])),
+    lambda bad: mixture_outlier_noise(0.1, np.array([[bad]]), np.eye(1)),
+    lambda bad: mixture_outlier_noise(0.1, np.eye(1), np.array([[bad]])),
+    lambda bad: beta_outlier_noise(0.1, 1.2, 1.5, np.array([[bad]])),
+    lambda bad: linear_model(np.eye(1), np.eye(1), Q=np.array([[bad]]), R=np.eye(1)),
+    lambda bad: linear_model(np.eye(1), np.eye(1), Q=np.eye(1), R=np.array([[bad]])),
+], ids=["laplace-scale", "beta-a", "beta-b", "gaussian-cov", "mixture-nominal",
+        "mixture-outlier", "beta-cov", "model-Q", "model-R"])
+def test_non_finite_settings_are_usage_errors(make, bad):
+    # a bad setting is a ValueError at construction, never a divergence or an
+    # EstimationError found later in a trial; numpy's beta draw returns NaN
+    # for a NaN or infinite shape instead of raising
     with pytest.raises(ValueError):
-        sample_noise(NoiseSpec(kind="cauchy", dim=1), np.random.default_rng(0))
+        make(bad)
+
+
+def test_linear_model_checks_matrix_shapes():
+    with pytest.raises(ValueError, match="A must be"):
+        linear_model(np.eye(2), np.ones((1, 2)), Q=np.eye(3), R=np.eye(1))
+    with pytest.raises(ValueError, match="H"):
+        linear_model(np.eye(2), np.ones((1, 2)), Q=np.eye(2), R=np.eye(2))
 
 
 def _tiny_model():

@@ -37,7 +37,7 @@ def cubic_model():
         return x[..., :1] ** 3
 
     return StateSpaceModel(
-        name="cubic", n=1, m=1,
+        name="cubic",
         f=lambda x, u, t: x,
         g=g,
         jac_f=lambda x, u, t: np.eye(1),
@@ -133,7 +133,7 @@ def dense_r_model():
         return H
 
     return StateSpaceModel(
-        name="dense-r", n=2, m=2,
+        name="dense-r",
         f=lambda x, u, t: x,
         g=g,
         jac_f=lambda x, u, t: np.eye(2),
@@ -299,6 +299,14 @@ def test_config_rejects_nan(field):
     # NaN fails every comparison: a NaN gamma would leave every update unconverged
     with pytest.raises(ValueError):
         NanoConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_config_rejects_an_infinite_epsilon(epsilon):
+    # an infinite floor made every cholesky-factor update raise NonFiniteIterate,
+    # so a bad setting was counted as a divergence in every trial
+    with pytest.raises(ValueError, match="epsilon"):
+        NanoConfig(cov_update="cholesky-factor", epsilon=epsilon)
 
 
 def test_presets():

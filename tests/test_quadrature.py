@@ -38,6 +38,19 @@ def test_rule_validation():
         SigmaPointRule("banana")
 
 
+@pytest.mark.parametrize("order", [3.0, 2.5, float("nan"), "3"])
+def test_hermite_order_must_be_an_integer(order):
+    # a float order used to construct and then fail inside numpy's node build
+    with pytest.raises(ValueError, match="order"):
+        SigmaPointRule("gauss-hermite", order=order)
+
+
+def test_hermite_order_accepts_numpy_integers():
+    rule = SigmaPointRule("gauss-hermite", order=np.int64(3))
+    cset = generate_points(rule, np.zeros(2), np.eye(2))
+    assert len(cset.points) == 9
+
+
 def test_hermite_three_point_rule():
     # order-3 probabilists' rule: nodes {0, +-sqrt(3)}, weights {2/3, 1/6, 1/6}
     cset = generate_points(SigmaPointRule("gauss-hermite", order=3), np.zeros(1), np.eye(1))

@@ -58,7 +58,7 @@ def ref_simulate(model, process, measurement, init_mean, init_cov, steps, rng):
     states = np.empty((steps + 1, model.n))
     states[0] = x
     measurements = np.empty((steps, model.m))
-    inputs = np.empty((steps, model.l)) if model.control is not None else None
+    inputs = np.empty((steps, len(model.control(0)))) if model.control is not None else None
     for t in range(1, steps + 1):
         u = model.control(t - 1) if model.control is not None else None
         if inputs is not None:

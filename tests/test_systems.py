@@ -120,7 +120,7 @@ def test_attitude_noise_matrices():
     # Gaussian moment match of a Laplace(1e-5) disturbance: variance 2 b^2
     np.testing.assert_allclose(model.Q, 2e-10 * np.eye(3))
     np.testing.assert_allclose(model.R, 1e-4 * np.eye(6))
-    assert model.m == 6 and model.n == 3 and model.l == 3
+    assert model.m == 6 and model.n == 3
 
 
 # ---------------------------------------------------------------------------
