@@ -7,8 +7,12 @@ A :class:`StateSpaceModel` packages the discrete-time system
 
 together with its Jacobians (and optionally measurement second derivatives and
 an exact linear form).  ``Q``/``R`` are the *filter's* Gaussian noise
-covariances; what the simulator actually draws is described separately by
-:class:`NoiseSpec`, so model mismatch and heavy-tailed truth are expressible.
+covariances; what the simulator actually draws is a separate :class:`NoiseSpec`
+per noise source, so model mismatch and heavy-tailed truth are expressible.
+Each noise factory (:func:`gaussian_noise`, :func:`laplace_noise`,
+:func:`mixture_outlier_noise`, :func:`beta_outlier_noise`) checks its
+settings, computes its roots once and returns a spec whose ``draw`` and
+``shape`` close over them; nothing else knows the kinds.
 
 The model's dimensions are those of its own parts: the state dimension ``n``
 is the order of ``Q``, the measurement dimension ``m`` the order of ``R``,
@@ -167,47 +171,32 @@ def linear_model(
 # Noise generation
 
 
-NOISE_KINDS = ("gaussian", "laplace", "gaussian-mixture", "beta-replacement")
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Sampling recipe for one noise source.
+    """One true noise source, as a factory below builds it.
 
-    Kinds: ``gaussian`` (chol), ``laplace`` (per-axis scale),
-    ``gaussian-mixture`` (nominal/outlier chols plus outlier probability), and
-    ``beta-replacement`` (with prob. ``prob`` the whole noise vector is one
-    Beta(a, b) draw replicated across components, else Gaussian).
-    The per-draw RNG consumption is fixed per kind so that trials with equal
-    seeds consume the stream identically; an all-zero covariance has an
-    all-zero ``chol`` and still draws.  ``dim`` is the order of ``scale`` for
-    ``laplace`` and of ``chol`` for every other kind.
+    ``draw(rng)`` draws one noise vector's variates and returns them with the
+    draw's outlier flag.  ``shape(z, outlier)`` turns a ``(..., dim)`` stack
+    of variates and its ``(...)`` stack of flags into noise vectors.  Both
+    close over their factory's checked settings, so a spec cannot exist
+    half-specified.  ``kind`` is a label only.  Each kind consumes the stream
+    in a fixed order, so trials with equal seeds draw identically.
     """
 
     kind: str
-    chol: Array | None = None
-    scale: Array | None = None
-    outlier_chol: Array | None = None
-    prob: float = 0.0
-    beta_a: float = 0.0
-    beta_b: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-
-    @property
-    def dim(self) -> int:
-        return (self.scale if self.kind == "laplace" else self.chol).shape[0]
+    draw: Callable[[np.random.Generator], tuple[Array, bool]]
+    shape: Callable[[Array, Array], Array]
 
 
 def _noise_root(cov: Array) -> Array:
     """Cholesky factor of a noise covariance; an all-zero covariance has a zero root.
 
-    A covariance with a NaN or infinite entry is a bad setting, not a failed
-    estimate, so it raises ``ValueError``.
+    A covariance that is not a square matrix, or has a NaN or infinite entry,
+    is a bad setting, not a failed estimate, so it raises ``ValueError``.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"noise covariance must be a square matrix, got shape {cov.shape}")
     if not all_finite(cov):
         raise ValueError("noise covariance must be finite")
     if not cov.any():
@@ -215,28 +204,58 @@ def _noise_root(cov: Array) -> Array:
     return cholesky_factor(cov)
 
 
+def _root_times(root: Array, z: Array) -> Array:
+    """``root @ z`` for every vector of a ``(..., d)`` stack, one BLAS product each."""
+    return np.matmul(root, z[..., None])[..., 0]
+
+
 def gaussian_noise(cov: Array) -> NoiseSpec:
-    return NoiseSpec(kind="gaussian", chol=_noise_root(cov))
+    root = _noise_root(cov)
+    dim = root.shape[0]
+    return NoiseSpec(
+        "gaussian",
+        lambda rng: (rng.standard_normal(dim), False),
+        lambda z, outlier: _root_times(root, z),
+    )
 
 
 def laplace_noise(scale: Array) -> NoiseSpec:
     """Independent Laplace components with the given per-axis scales."""
     scale = np.asarray(scale, dtype=float)
+    if scale.ndim != 1:
+        raise ValueError(f"laplace scale must be 1-D, got shape {scale.shape}")
     if not (all_finite(scale) and np.all(scale >= 0)):
         raise ValueError("laplace scale must be finite and nonnegative")
-    return NoiseSpec(kind="laplace", scale=scale)
+    dim, param = scale.shape[0], scale
+    if dim and scale.tobytes() == np.full_like(scale, scale[0]).tobytes():
+        # Equal scales draw the same bits through numpy's much cheaper
+        # scalar-parameter path.
+        param = float(scale[0])
+    return NoiseSpec(
+        "laplace",
+        lambda rng: (rng.laplace(0.0, param, dim), False),
+        lambda z, outlier: z,
+    )
 
 
 def mixture_outlier_noise(prob: float, nominal_cov: Array, outlier_cov: Array) -> NoiseSpec:
     """Gaussian with probability ``1-prob``, inflated Gaussian with ``prob``."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError("outlier probability must be in [0, 1]")
-    return NoiseSpec(
-        kind="gaussian-mixture",
-        chol=_noise_root(nominal_cov),
-        outlier_chol=_noise_root(outlier_cov),
-        prob=prob,
-    )
+    root, outlier_root = _noise_root(nominal_cov), _noise_root(outlier_cov)
+    if root.shape != outlier_root.shape:
+        raise ValueError(f"nominal and outlier covariances must have the same order, "
+                         f"got shapes {root.shape} and {outlier_root.shape}")
+    dim = root.shape[0]
+
+    def draw(rng):
+        outlier = rng.random() < prob
+        return rng.standard_normal(dim), outlier
+
+    def shape(z, outlier):
+        return np.where(outlier[..., None], _root_times(outlier_root, z), _root_times(root, z))
+
+    return NoiseSpec("gaussian-mixture", draw, shape)
 
 
 def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> NoiseSpec:
@@ -245,76 +264,25 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
         raise ValueError("outlier probability must be in [0, 1]")
     if not (0 < a < np.inf and 0 < b < np.inf):
         raise ValueError("beta shape parameters must be finite and positive")
+    root = _noise_root(nominal_cov)
+    dim = root.shape[0]
+
+    def draw(rng):
+        if rng.random() < prob:
+            return np.full(dim, rng.beta(a, b)), True
+        return rng.standard_normal(dim), False
+
     return NoiseSpec(
-        kind="beta-replacement",
-        chol=_noise_root(nominal_cov),
-        prob=prob,
-        beta_a=a,
-        beta_b=b,
+        "beta-replacement",
+        draw,
+        lambda z, outlier: np.where(outlier[..., None], z, _root_times(root, z)),
     )
-
-
-def _variate_drawer(spec: NoiseSpec) -> Callable[[np.random.Generator, Array], bool]:
-    """``draw(rng, out)``: draw one noise vector's variates from ``rng`` into ``out``.
-
-    ``draw`` returns whether the draw took the outlier branch (mixture and
-    beta-replacement kinds); :func:`_shape_noise` turns variates into noise.
-    """
-    kind, dim = spec.kind, spec.dim
-    if kind == "gaussian":
-        def draw(rng, out):
-            out[:] = rng.standard_normal(dim)
-            return False
-    elif kind == "laplace":
-        scale = spec.scale
-        if scale.size and scale.tobytes() == np.full_like(scale, scale[0]).tobytes():
-            # Equal scales draw the same bits through numpy's much cheaper
-            # scalar-parameter path.
-            scale = float(scale[0])
-
-        def draw(rng, out):
-            out[:] = rng.laplace(0.0, scale, dim)
-            return False
-    elif kind == "gaussian-mixture":
-        def draw(rng, out):
-            outlier = rng.random() < spec.prob
-            out[:] = rng.standard_normal(dim)
-            return outlier
-    else:  # beta-replacement
-        def draw(rng, out):
-            if rng.random() < spec.prob:
-                out[:] = rng.beta(spec.beta_a, spec.beta_b)
-                return True
-            out[:] = rng.standard_normal(dim)
-            return False
-    return draw
-
-
-def _root_times(root: Array, z: Array) -> Array:
-    """``root @ z`` for every vector of a ``(..., d)`` stack, one BLAS product each."""
-    return np.matmul(root, z[..., None])[..., 0]
-
-
-def _shape_noise(spec: NoiseSpec, z: Array, outlier: Array | None) -> Array:
-    """Noise vectors from a ``(..., dim)`` stack of variates and ``(...)`` outlier flags.
-
-    The flags are read only by the kinds that have an outlier branch.
-    """
-    if spec.kind == "laplace":
-        return z
-    noise = _root_times(spec.chol, z)
-    if spec.kind == "gaussian-mixture":
-        return np.where(outlier[..., None], _root_times(spec.outlier_chol, z), noise)
-    if spec.kind == "beta-replacement":
-        return np.where(outlier[..., None], z, noise)
-    return noise
 
 
 def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> Array:
     """Draw one noise vector.  Consumes the stream deterministically per kind."""
-    z = np.empty(spec.dim)
-    outlier = _variate_drawer(spec)(rng, z)
-    return _shape_noise(spec, z, np.array(outlier))
+    z, outlier = spec.draw(rng)
+    return spec.shape(z, np.array(outlier))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +341,14 @@ def simulate_trajectory(
     z_meas = np.empty((count, steps, m))
     proc_out = np.empty((count, steps), dtype=bool)
     meas_out = np.empty((count, steps), dtype=bool)
-    draw_process, draw_measurement = _variate_drawer(process), _variate_drawer(measurement)
+    draw_process, draw_measurement = process.draw, measurement.draw
     for k, stream in enumerate(rngs):
         z0[k] = stream.standard_normal(n)
         for t in range(steps):
-            proc_out[k, t] = draw_process(stream, z_proc[k, t])
-            meas_out[k, t] = draw_measurement(stream, z_meas[k, t])
-    process_noise = _shape_noise(process, z_proc, proc_out)
-    measurement_noise = _shape_noise(measurement, z_meas, meas_out)
+            z_proc[k, t], proc_out[k, t] = draw_process(stream)
+            z_meas[k, t], meas_out[k, t] = draw_measurement(stream)
+    process_noise = process.shape(z_proc, proc_out)
+    measurement_noise = measurement.shape(z_meas, meas_out)
 
     states = np.empty((count, steps + 1, n))
     inputs = None

@@ -28,7 +28,15 @@ from .models import (
     mixture_outlier_noise,
 )
 from .quadrature import parse_rule
-from .systems import ATTITUDE_LAPLACE_SCALE, attitude_model, duffing_model, fm_demodulator
+from .systems import (
+    ATTITUDE_DT,
+    ATTITUDE_LAPLACE_SCALE,
+    DUFFING_NATURAL_FREQ,
+    FM_BETA,
+    attitude_model,
+    duffing_model,
+    fm_demodulator,
+)
 
 MODEL_IDS = ("fm", "attitude", "duffing")
 MISMATCH_KINDS = ("none", "system", "outlier")
@@ -121,23 +129,23 @@ def scenario_models(cfg: ScenarioConfig) -> ScenarioSetup:
     # outliers(p): the model's contaminated measurement noise at outlier probability p
     if cfg.model == "fm":
         truth = fm_demodulator()
-        filt = fm_demodulator(beta=100.0 * (1.0 + offset))
+        filt = fm_demodulator(beta=FM_BETA * (1.0 + offset))
         process = gaussian_noise(truth.Q)
-        outliers = lambda p: mixture_outlier_noise(p, np.eye(2), 100.0 * np.eye(2))
+        outliers = lambda p: mixture_outlier_noise(p, truth.R, 100.0 * truth.R)
         init_mean, init_cov = np.zeros(2), np.eye(2)
 
     elif cfg.model == "attitude":
         truth = attitude_model()
-        filt = attitude_model(dt=0.01 * (1.0 + offset))
+        filt = attitude_model(dt=ATTITUDE_DT * (1.0 + offset))
         process = laplace_noise(np.full(3, ATTITUDE_LAPLACE_SCALE))
-        outliers = lambda p: beta_outlier_noise(p, 1.2, 1.5, 1e-4 * np.eye(6))
+        outliers = lambda p: beta_outlier_noise(p, 1.2, 1.5, truth.R)
         init_mean, init_cov = np.zeros(3), 1e-3 * np.eye(3)
 
     else:  # duffing
         truth = duffing_model()
-        filt = duffing_model(natural_freq=1.0 * (1.0 + offset))
+        filt = duffing_model(natural_freq=DUFFING_NATURAL_FREQ * (1.0 + offset))
         process = gaussian_noise(truth.Q)
-        outliers = lambda p: mixture_outlier_noise(p, np.array([[1e-2]]), np.array([[1.0]]))
+        outliers = lambda p: mixture_outlier_noise(p, truth.R, np.array([[1.0]]))
         init_mean, init_cov = np.zeros(2), np.eye(2)
 
     measurement = outliers(outlier_prob) if outlier_prob > 0.0 else gaussian_noise(truth.R)

@@ -53,9 +53,10 @@ def _measurement_callables(measure) -> dict:
 # FM demodulator
 
 FM_PERIOD = 2.0 * np.pi / 16.0
+FM_BETA = 100.0
 
 
-def fm_demodulator(beta: float = 100.0, matrix_mode: str = "literal") -> StateSpaceModel:
+def fm_demodulator(beta: float = FM_BETA, matrix_mode: str = "literal") -> StateSpaceModel:
     """Frequency/phase tracking model; state (frequency, phase).
 
     ``matrix_mode`` selects how the phase-from-frequency transition entry is
@@ -114,6 +115,7 @@ GIMBAL_COS_TOL = 1e-6
 # Per-axis Laplace scale of the true angular-rate disturbance; the filter's
 # Gaussian Q below is its moment match (variance 2 b^2).
 ATTITUDE_LAPLACE_SCALE = 1e-5
+ATTITUDE_DT = 0.01
 
 
 # Derivative orders (pitch, roll, yaw) of the rotation product behind each
@@ -225,7 +227,7 @@ def _rate_matrix_grad(theta: np.ndarray) -> np.ndarray:
     )
 
 
-def attitude_model(dt: float = 0.01) -> StateSpaceModel:
+def attitude_model(dt: float = ATTITUDE_DT) -> StateSpaceModel:
     """Euler-angle attitude kinematics; state (pitch, roll, yaw) in radians.
 
     The measurement stacks the gravity and magnetic reference vectors rotated
@@ -289,9 +291,10 @@ DUFFING_DAMPING = 0.05
 DUFFING_STIFFNESS = 1.0
 DUFFING_FORCING = 0.2
 DUFFING_FORCING_FREQ = 1.2
+DUFFING_NATURAL_FREQ = 1.0
 
 
-def duffing_model(natural_freq: float = 1.0) -> StateSpaceModel:
+def duffing_model(natural_freq: float = DUFFING_NATURAL_FREQ) -> StateSpaceModel:
     """Forced Duffing oscillator, explicit Euler; state (position, velocity).
 
     The measurement is the cubed position, so likelihood curvature flips sign

@@ -31,7 +31,7 @@ from nanofilter.errors import (
     UnknownScenario,
 )
 from nanofilter.filters import SINGLE_PASS, GaussianBelief
-from nanofilter.models import NoiseSpec, StateSpaceModel
+from nanofilter.models import NoiseSpec, StateSpaceModel, sample_noise
 from nanofilter.quadrature import parse_rule
 from nanofilter.scenarios import ScenarioConfig, mismatch_grid, scenario_models
 
@@ -142,7 +142,9 @@ def test_derived_values_are_not_init_parameters():
         for view in (setup.truth, setup.filter_view):
             assert (view.n, view.m) == (n, m) == (view.Q.shape[0], view.R.shape[0])
             assert not hasattr(view, "l")
-        assert (setup.process_noise.dim, setup.measurement_noise.dim) == (n, m)
+        rng = np.random.default_rng(0)
+        assert (sample_noise(setup.process_noise, rng).shape,
+                sample_noise(setup.measurement_noise, rng).shape) == ((n,), (m,))
 
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
     traj = make_trajectory(cfg, 0)

@@ -1,6 +1,11 @@
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nanofilter import models
 from nanofilter.errors import NonFiniteState
 from nanofilter.models import (
     NoiseSpec,
@@ -146,10 +151,48 @@ def test_beta_replacement_noise():
         beta_outlier_noise(0.1, 0.0, 1.0, np.eye(1))
 
 
-def test_sample_noise_unknown_kind():
-    # the spec itself refuses the kind, before any draw
-    with pytest.raises(ValueError, match="unknown noise kind"):
-        NoiseSpec(kind="cauchy")
+def test_noise_spec_cannot_be_half_specified():
+    # a spec is its factory's draw and shape; without them it does not construct
+    with pytest.raises(TypeError):
+        NoiseSpec(kind="gaussian")
+    with pytest.raises(TypeError):
+        NoiseSpec(kind="laplace", draw=lambda rng: (np.zeros(1), False))
+
+
+def test_noise_sources_carry_only_their_draw_and_shape():
+    # the factories are the one place that knows a kind: the spec holds a
+    # label and two closures, and models.py never reads a .kind back
+    assert tuple(f.name for f in fields(NoiseSpec)) == ("kind", "draw", "shape")
+    tree = ast.parse(Path(models.__file__).read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("cov", [np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros(2), np.float64(0.0)],
+                         ids=["2x3", "1x2x2", "vector", "scalar"])
+@pytest.mark.parametrize("make", [
+    gaussian_noise,
+    lambda cov: mixture_outlier_noise(0.1, cov, cov),
+    lambda cov: beta_outlier_noise(0.1, 1.2, 1.5, cov),
+    lambda cov: simulate_trajectory(_tiny_model(), gaussian_noise(np.eye(1)), gaussian_noise(np.eye(1)),
+                                    np.zeros(1), cov, 3, np.random.default_rng(0)),
+], ids=["gaussian", "mixture", "beta", "init-cov"])
+def test_zero_covariance_must_still_be_square(make, cov):
+    # an all-zero covariance has a zero root, but only once it is a square matrix
+    with pytest.raises(ValueError, match="square"):
+        make(cov)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: mixture_outlier_noise(0.1, np.eye(2), np.eye(3)), "same order"),
+    (lambda: laplace_noise(np.array(1.0)), "1-D"),
+    (lambda: laplace_noise(np.ones((2, 2))), "1-D"),
+], ids=["mixture-orders", "laplace-scalar", "laplace-matrix"])
+def test_factory_settings_that_cannot_draw_are_refused(make, match):
+    # each of these used to construct and then fail at its first draw
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 _BAD = [np.nan, np.inf, -np.inf]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nanofilter.errors import MissingHessian, NotPositiveDefinite, PDFailure
+from nanofilter.errors import EstimationError, MissingHessian, NotPositiveDefinite, PDFailure
 from nanofilter.filters import GaussianBelief, ekf_update, iekf_update, kf_step, mm_predict
 from nanofilter.linalg import cholesky_factor, symmetrize
 from nanofilter.models import (
@@ -445,6 +447,48 @@ def test_nano_randomized_pd_preservation():
             y = rng.uniform(-8, 8, size=1)
             post, _ = nano_update(prior, y, model, RULE, cfg)
             cholesky_factor(post.cov)  # raises if not positive definite
+
+
+# The PD guarantee is tested on priors up to this condition number; past about
+# 1e15 the set-up factorizations themselves start to fail (ROADMAP item 16).
+PD_CONDITION_BOUND = 1e12
+PD_MODELS = {"fm": fm_demodulator(), "attitude": attitude_model(), "duffing": duffing_model()}
+
+
+@st.composite
+def _adversarial_updates(draw, model):
+    """A random SPD prior of condition up to the bound and scale 1e-4..1e3, a
+    random mean, and a measurement of a state drawn from the prior with noise
+    up to 10 times R's scale."""
+    n, m = model.n, model.m
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log_scale = draw(st.floats(-4.0, 3.0))
+    log_cond = draw(st.floats(0.0, np.log10(PD_CONDITION_BOUND)))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eig = 10.0 ** (log_scale - log_cond * np.linspace(0.0, 1.0, n))
+    prior = GaussianBelief(rng.uniform(-3.0, 3.0, n), symmetrize((basis * eig) @ basis.T))
+    x = prior.mean + cholesky_factor(prior.cov) @ rng.standard_normal(n)
+    noise = draw(st.floats(0.0, 10.0)) * cholesky_factor(model.R) @ rng.standard_normal(m)
+    return prior, model.g(x) + noise
+
+
+@pytest.mark.parametrize("model_id", sorted(PD_MODELS))
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_nano_updates_stay_positive_definite_on_adversarial_beliefs(model_id, data):
+    # the abstract's guarantee: a Gauss-Newton or factored update returns a
+    # covariance that factors, or fails with an estimation error that is not
+    # a lost positive definiteness
+    model = PD_MODELS[model_id]
+    prior, y = data.draw(_adversarial_updates(model))
+    for fid in ("nano", "nano-chol"):
+        for rule in (RULE, parse_rule("gh:3")):
+            try:
+                post, _ = nano_update(prior, y, model, rule, NANO_PRESETS[fid])
+            except EstimationError as exc:
+                assert not isinstance(exc, PDFailure), (fid, rule, exc)
+                continue
+            np.linalg.cholesky(post.cov)
 
 
 def test_nano_determinism():

@@ -4,10 +4,13 @@
 ``(T, n)`` stack, ``g`` on every state at once, the noise roots on stacks of
 variates.  ``ref_simulate`` below keeps the earlier form, one trajectory at a
 time with one noise vector per draw, and every trajectory must match it bit
-for bit, for one Generator (T = 1) and for several.
+for bit, for one Generator (T = 1) and for several.  The reference draws its
+noise from plain records of each factory's settings, with its own roots, so
+it shares no noise code with the package.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +37,25 @@ from nanofilter.systems import attitude_model, duffing_model, fm_demodulator
 def ref_root(cov):
     cov = np.asarray(cov, dtype=float)
     return np.zeros_like(cov) if not cov.any() else cholesky_factor(cov)
+
+
+def ref_gaussian(cov):
+    return SimpleNamespace(kind="gaussian", chol=ref_root(cov), dim=len(cov))
+
+
+def ref_laplace(scale):
+    scale = np.asarray(scale, dtype=float)
+    return SimpleNamespace(kind="laplace", scale=scale, dim=len(scale))
+
+
+def ref_mixture(prob, nominal_cov, outlier_cov):
+    return SimpleNamespace(kind="gaussian-mixture", chol=ref_root(nominal_cov),
+                           outlier_chol=ref_root(outlier_cov), prob=prob, dim=len(nominal_cov))
+
+
+def ref_beta(prob, a, b, nominal_cov):
+    return SimpleNamespace(kind="beta-replacement", chol=ref_root(nominal_cov), prob=prob,
+                           beta_a=a, beta_b=b, dim=len(nominal_cov))
 
 
 def ref_sample_noise(spec, rng):
@@ -97,32 +119,42 @@ def _cov(dim, scale, seed):
     return scale ** 2 * (m @ m.T / dim + 0.5 * np.eye(dim))
 
 
+# each noise factory with the reference record of the same arguments
+NOISES = {
+    "gaussian": (gaussian_noise, ref_gaussian),
+    "laplace": (laplace_noise, ref_laplace),
+    "gaussian-mixture": (mixture_outlier_noise, ref_mixture),
+    "beta-replacement": (beta_outlier_noise, ref_beta),
+}
+
+
 def _spec(kind, dim, scale, seed):
+    """The factory-built spec of ``kind`` and the reference record of its settings."""
     cov = _cov(dim, scale, seed)
-    if kind == "gaussian":
-        return gaussian_noise(cov)
-    if kind == "zero":
-        return gaussian_noise(np.zeros((dim, dim)))
-    if kind == "laplace":
-        return laplace_noise(scale * np.linspace(0.5, 1.5, dim))
-    if kind == "laplace-equal":
-        return laplace_noise(np.full(dim, scale))
-    if kind == "gaussian-mixture":
-        return mixture_outlier_noise(0.3, cov, 25.0 * cov)
-    if kind == "beta-replacement":
-        return beta_outlier_noise(0.3, 1.2, 1.5, cov)
-    raise ValueError(kind)
+    name, args = {
+        "gaussian": ("gaussian", (cov,)),
+        "zero": ("gaussian", (np.zeros((dim, dim)),)),
+        "laplace": ("laplace", (scale * np.linspace(0.5, 1.5, dim),)),
+        "laplace-equal": ("laplace", (np.full(dim, scale),)),
+        "gaussian-mixture": ("gaussian-mixture", (0.3, cov, 25.0 * cov)),
+        "beta-replacement": ("beta-replacement", (0.3, 1.2, 1.5, cov)),
+    }[kind]
+    factory, ref = NOISES[name]
+    return factory(*args), ref(*args)
 
 
 KINDS = ("gaussian", "zero", "laplace", "laplace-equal", "gaussian-mixture", "beta-replacement")
 
 
 def _case(name, process_kind, measurement_kind):
+    """Simulator arguments but the streams and steps, and the reference's."""
     factory, scale, init_cov = MODELS[name]
     model = factory()
-    process = _spec(process_kind, model.n, scale, 1)
-    measurement = _spec(measurement_kind, model.m, scale, 2)
-    return model, process, measurement, np.full(model.n, 0.1), init_cov
+    process, ref_process = _spec(process_kind, model.n, scale, 1)
+    measurement, ref_measurement = _spec(measurement_kind, model.m, scale, 2)
+    init_mean = np.full(model.n, 0.1)
+    return ((model, process, measurement, init_mean, init_cov),
+            (model, ref_process, ref_measurement, init_mean, init_cov))
 
 
 def _assert_same(traj, ref):
@@ -142,19 +174,30 @@ def _assert_same(traj, ref):
 @pytest.mark.parametrize("process_kind", KINDS)
 @pytest.mark.parametrize("name", MODELS)
 def test_batched_trajectories_match_the_per_trial_loop(name, process_kind, measurement_kind):
-    model, process, measurement, init_mean, init_cov = _case(name, process_kind, measurement_kind)
+    args, ref_args = _case(name, process_kind, measurement_kind)
     steps, seeds = 15, (3, 4, 5, 6)
-    args = (model, process, measurement, init_mean, init_cov, steps)
-    refs = [ref_simulate(*args, np.random.default_rng(seed)) for seed in seeds]
+    refs = [ref_simulate(*ref_args, steps, np.random.default_rng(seed)) for seed in seeds]
 
-    single = simulate_trajectory(*args, np.random.default_rng(seeds[0]))
+    single = simulate_trajectory(*args, steps, np.random.default_rng(seeds[0]))
     assert isinstance(single, Trajectory)
     _assert_same(single, refs[0])
 
-    batch = simulate_trajectory(*args, [np.random.default_rng(seed) for seed in seeds])
+    batch = simulate_trajectory(*args, steps, [np.random.default_rng(seed) for seed in seeds])
     assert isinstance(batch, list) and len(batch) == len(seeds)
     for traj, ref in zip(batch, refs):
         _assert_same(traj, ref)
+
+
+# Each scenario's true noise, stated here: the process noise, the nominal
+# measurement covariance, and the measurement noise at outlier probability p.
+SCENARIO_NOISES = {
+    "fm": (ref_gaussian(np.diag([0.01, 1.0])), np.eye(2),
+           lambda p: ref_mixture(p, np.eye(2), 100.0 * np.eye(2))),
+    "attitude": (ref_laplace(np.full(3, 1e-5)), 1e-4 * np.eye(6),
+                 lambda p: ref_beta(p, 1.2, 1.5, 1e-4 * np.eye(6))),
+    "duffing": (ref_gaussian(1e-3 * np.eye(2)), np.array([[1e-2]]),
+                lambda p: ref_mixture(p, np.array([[1e-2]]), np.array([[1.0]]))),
+}
 
 
 @pytest.mark.parametrize("model", ["fm", "attitude", "duffing"])
@@ -164,8 +207,10 @@ def test_make_trajectories_match_make_trajectory(model, mismatch_kind):
     cfg = ScenarioConfig(model=model, mismatch_kind=mismatch_kind, mismatch_level=level,
                          trials=5, horizon=30, seed=11)
     setup = scenario_models(cfg)
+    process, nominal, outliers = SCENARIO_NOISES[model]
+    measurement = outliers(level) if level else ref_gaussian(nominal)
     for trial, traj in enumerate(bench.make_trajectories(cfg, setup)):
-        ref = ref_simulate(setup.truth, setup.process_noise, setup.measurement_noise,
+        ref = ref_simulate(setup.truth, process, measurement,
                            setup.init_mean, setup.init_cov, cfg.horizon,
                            np.random.default_rng(cfg.seed + trial))
         _assert_same(traj, ref)
@@ -173,9 +218,8 @@ def test_make_trajectories_match_make_trajectory(model, mismatch_kind):
 
 
 def test_trajectories_own_disjoint_arrays():
-    model, process, measurement, init_mean, init_cov = _case("linear", "gaussian", "gaussian")
-    batch = simulate_trajectory(model, process, measurement, init_mean, init_cov, 10,
-                                [np.random.default_rng(seed) for seed in range(3)])
+    args, _ = _case("linear", "gaussian", "gaussian")
+    batch = simulate_trajectory(*args, 10, [np.random.default_rng(seed) for seed in range(3)])
     arrays = [a for traj in batch for a in (traj.states, traj.measurements, traj.inputs)]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
@@ -187,8 +231,8 @@ def test_trajectories_own_disjoint_arrays():
 
 
 def test_no_streams_give_no_trajectories():
-    model, process, measurement, init_mean, init_cov = _case("fm", "gaussian", "gaussian")
-    assert simulate_trajectory(model, process, measurement, init_mean, init_cov, 5, []) == []
+    args, _ = _case("fm", "gaussian", "gaussian")
+    assert simulate_trajectory(*args, 5, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +240,17 @@ def test_no_streams_give_no_trajectories():
 
 
 def _escaping_walk():
-    """A 1-D random walk whose state turns Inf once it leaves [-4, 4]."""
+    """A 1-D random walk whose state turns Inf once it leaves [-4, 4], and its reference."""
     model = linear_model(np.eye(1), np.eye(1), Q=np.eye(1), R=np.eye(1))
     model.f = lambda x, u, t: np.where(np.abs(x) > 4.0, np.inf, x)
-    return model, gaussian_noise(np.eye(1)), gaussian_noise(np.eye(1)), np.zeros(1), np.eye(1), 30
+    noise, ref_noise = gaussian_noise(np.eye(1)), ref_gaussian(np.eye(1))
+    return ((model, noise, noise, np.zeros(1), np.eye(1), 30),
+            (model, ref_noise, ref_noise, np.zeros(1), np.eye(1), 30))
 
 
-def _first_bad_step(args, seed):
+def _first_bad_step(ref_args, seed):
     try:
-        ref_simulate(*args, np.random.default_rng(seed))
+        ref_simulate(*ref_args, np.random.default_rng(seed))
     except NonFiniteState as exc:
         return int(re.search(r"step (\d+)", str(exc)).group(1))
     return None
@@ -218,8 +264,8 @@ def _first_bad_step(args, seed):
 def test_nonfinite_state_names_the_lowest_failing_stream(seeds, overtaken):
     # Simulated one after another, the lowest-index stream that fails raises
     # first, at its own first bad step, even when a later stream fails sooner.
-    args = _escaping_walk()
-    bad = [_first_bad_step(args, seed) for seed in seeds]
+    args, ref_args = _escaping_walk()
+    bad = [_first_bad_step(ref_args, seed) for seed in seeds]
     stream = next(k for k, step in enumerate(bad) if step is not None)
     with pytest.raises(NonFiniteState, match=rf"stream {stream} .* step {bad[stream]}$"):
         simulate_trajectory(*args, [np.random.default_rng(seed) for seed in seeds])
