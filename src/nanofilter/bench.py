@@ -127,26 +127,26 @@ def run_filter(
     return FilterRun(means[:steps], covs[:steps], tuple(diags), failure)
 
 
-def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup | None = None) -> Trajectory:
-    """Simulate the (shared) trajectory for one trial index."""
-    return _simulate(cfg, setup, np.random.default_rng(cfg.seed + trial))
+def make_trajectory(cfg: ScenarioConfig, trial: int, setup: ScenarioSetup) -> Trajectory:
+    """The (shared) trajectory of trial ``trial``: the one-trial case of :func:`make_trajectories`."""
+    return _simulate(cfg, setup, [trial])[0]
 
 
-def make_trajectories(cfg: ScenarioConfig, setup: ScenarioSetup | None = None) -> list[Trajectory]:
+def make_trajectories(cfg: ScenarioConfig, setup: ScenarioSetup) -> list[Trajectory]:
     """Simulate the trajectories of all ``cfg.trials`` trials in one batched call.
 
     Trial ``i`` draws from its own stream, seeded ``cfg.seed + i``, so each
-    trajectory equals ``make_trajectory(cfg, i)``.
+    trajectory equals ``make_trajectory(cfg, i, setup)``.
     """
-    rngs = [np.random.default_rng(cfg.seed + trial) for trial in range(cfg.trials)]
-    return _simulate(cfg, setup, rngs)
+    return _simulate(cfg, setup, range(cfg.trials))
 
 
-def _simulate(cfg: ScenarioConfig, setup: ScenarioSetup | None, rng):
-    setup = setup or scenario_models(cfg)
+def _simulate(cfg: ScenarioConfig, setup: ScenarioSetup, trials) -> list[Trajectory]:
+    """One trajectory per index in ``trials``, seeded ``cfg.seed + index``, from one simulator call."""
     return simulate_trajectory(
         setup.truth, setup.process_noise, setup.measurement_noise,
-        setup.init_mean, setup.init_cov, cfg.horizon, rng,
+        setup.init_mean, setup.init_cov, cfg.horizon,
+        [np.random.default_rng(cfg.seed + trial) for trial in trials],
     )
 
 
@@ -155,10 +155,9 @@ def run_trial(
     filter_id: str,
     trial: int,
     traj: Trajectory,
-    setup: ScenarioSetup | None = None,
+    setup: ScenarioSetup,
 ) -> TrialResult:
-    """Run one filter over ``traj``, the trajectory of trial ``trial``."""
-    setup = setup or scenario_models(cfg)
+    """Run one filter over ``traj``, the trajectory of trial ``trial`` of ``setup``."""
     run = run_filter(setup, filter_id, traj, parse_rule(cfg.mm))
     err = None if run.diverged else rmse(traj.states[1:], run.means)
     times = [d.update_ms for d in run.diagnostics]

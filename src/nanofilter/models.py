@@ -28,9 +28,9 @@ whole point set with one call.  ``jac_f`` takes one state.
 
 :func:`simulate_trajectory` advances all trials of a run together, so the
 simulator calls ``f`` once per step on the ``(T, n)`` stack of trial states.
-Each trial keeps its own random stream, and the draws from each stream keep a
-fixed order, so a trial's trajectory does not depend on how many trials are
-simulated with it.  One trajectory is the T = 1 case.
+It takes one random stream per trial and returns one trajectory per stream;
+each stream is drawn in a fixed order, so a trial's trajectory does not
+depend on how many trials are simulated with it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import NonFiniteState, integer_at_least
 from .linalg import all_finite, cholesky_factor, spd_inverse, symmetrize
 
 Array = np.ndarray
@@ -128,8 +128,8 @@ def linear_model(
 ) -> StateSpaceModel:
     """Wrap explicit (A, B, H) matrices as a StateSpaceModel with exact parts.
 
-    ``A`` must be ``(n, n)`` and ``H`` ``(m, n)`` for the orders n of ``Q``
-    and m of ``R``; a ``ValueError`` says otherwise.
+    ``A`` must be ``(n, n)``, ``H`` ``(m, n)`` and ``B``, if given, ``(n, l)``
+    for the orders n of ``Q`` and m of ``R``; a ``ValueError`` says otherwise.
     """
     A = np.asarray(A, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -164,6 +164,8 @@ def linear_model(
     n, m = model.n, model.m
     if A.shape != (n, n) or H.shape != (m, n):
         raise ValueError(f"A must be ({n}, {n}) and H ({m}, {n}), got {A.shape} and {H.shape}")
+    if B is not None and (B.ndim != 2 or B.shape[0] != n):
+        raise ValueError(f"B must be a 2-D matrix with {n} rows, got shape {B.shape}")
     return model
 
 
@@ -279,12 +281,6 @@ def beta_outlier_noise(prob: float, a: float, b: float, nominal_cov: Array) -> N
     )
 
 
-def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> Array:
-    """Draw one noise vector.  Consumes the stream deterministically per kind."""
-    z, outlier = spec.draw(rng)
-    return spec.shape(z, np.array(outlier))
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 
@@ -298,6 +294,13 @@ class Trajectory:
     inputs: Array | None = None  # (M, l) controls u_0..u_{M-1}, or None
 
 
+def _check_order(source: str, shape: tuple[int, ...], want: tuple[int, ...], space: str) -> None:
+    """``ValueError`` naming ``source`` and both orders unless its ``shape`` is ``want``."""
+    if shape != want:
+        raise ValueError(f"{source} has shape {shape}, but the model's {space} has order "
+                         f"{want[0]}, so it must be {want}")
+
+
 def simulate_trajectory(
     model: StateSpaceModel,
     process: NoiseSpec,
@@ -305,24 +308,28 @@ def simulate_trajectory(
     init_mean: Array,
     init_cov: Array,
     steps: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> Trajectory | list[Trajectory]:
-    """Roll the model forward ``steps`` steps from a Gaussian initial draw.
+    rngs: Sequence[np.random.Generator],
+) -> list[Trajectory]:
+    """Roll the model forward ``steps`` steps from a Gaussian initial draw, once per stream.
 
-    ``rng`` is one Generator, which gives one :class:`Trajectory`, or a
-    sequence of T Generators, which gives a list of T trajectories; one
-    Generator is the T = 1 case.  The trials advance together: ``f`` sees the
-    ``(T, n)`` stack of states once per step, ``g`` sees every simulated state
-    in one call, and the noise roots multiply stacks of variates.  Each
-    stream is drawn in a fixed order -- initial state, then per step: process
-    noise, then measurement noise -- so a seed pins its trajectory, whatever
-    streams it shares a call with.  A model's ``control`` is called once per
-    step before the first one; ``f`` gets the rows of the stacked values, which
-    every trajectory keeps as its ``inputs``.  The trajectories own disjoint
-    arrays.
+    ``rngs`` holds T Generators, one per trial, and the result is the list of
+    their T :class:`Trajectory` records, in order.  The trials advance
+    together: ``f`` sees the ``(T, n)`` stack of states once per step, ``g``
+    sees every simulated state in one call, and the noise roots multiply
+    stacks of variates.  Each stream is drawn in a fixed order -- initial
+    state, then per step: process noise, then measurement noise -- so a seed
+    pins its trajectory, whatever streams it shares a call with.  A model's
+    ``control`` is called once per step before the first one; ``f`` gets the
+    rows of the stacked values, which every trajectory keeps as its
+    ``inputs``.  The trajectories own disjoint arrays.
 
     Raises
     ------
+    ValueError
+        Before anything is drawn, if ``steps`` is not an integer >= 0, or if
+        a noise source, ``init_mean`` or ``init_cov`` does not have the order
+        of the model's state or measurement.  A source's order is the length
+        of one draw, taken from a throwaway stream.
     NonFiniteState
         If a simulated state leaves the finite floats.  With several streams,
         the error names the first bad step of the lowest-index failing one,
@@ -332,9 +339,16 @@ def simulate_trajectory(
         whichever stream trips it, and ``g`` runs only after every step, so a
         batch can raise a different error than its streams one at a time.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
+    if not integer_at_least(steps, 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     count, n, m = len(rngs), model.n, model.m
+    init_mean = np.asarray(init_mean, dtype=float)
+    init_root = _noise_root(init_cov)
+    probe = np.random.default_rng(0)
+    _check_order("process noise", process.draw(probe)[0].shape, (n,), "state")
+    _check_order("measurement noise", measurement.draw(probe)[0].shape, (m,), "measurement")
+    _check_order("init_mean", init_mean.shape, (n,), "state")
+    _check_order("init_cov", init_root.shape, (n, n), "state")
 
     z0 = np.empty((count, n))
     z_proc = np.empty((count, steps, n))
@@ -354,7 +368,7 @@ def simulate_trajectory(
     inputs = None
     if model.control is not None:
         inputs = np.array([model.control(t) for t in range(steps)], dtype=float)
-    x = np.asarray(init_mean, dtype=float) + _root_times(_noise_root(init_cov), z0)
+    x = init_mean + _root_times(init_root, z0)
     states[:, 0] = x
     live, failure = count, None
     for t in range(1, steps + 1):
@@ -376,8 +390,7 @@ def simulate_trajectory(
     measurements = model.g(states[:, 1:]) + measurement_noise
     if inputs is not None:
         inputs = np.repeat(inputs[None], count, axis=0)
-    trajectories = [
+    return [
         Trajectory(states[k], measurements[k], None if inputs is None else inputs[k])
         for k in range(count)
     ]
-    return trajectories[0] if single else trajectories

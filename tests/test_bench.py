@@ -31,7 +31,7 @@ from nanofilter.errors import (
     UnknownScenario,
 )
 from nanofilter.filters import SINGLE_PASS, GaussianBelief
-from nanofilter.models import NoiseSpec, StateSpaceModel, sample_noise
+from nanofilter.models import NoiseSpec, StateSpaceModel
 from nanofilter.quadrature import parse_rule
 from nanofilter.scenarios import ScenarioConfig, mismatch_grid, scenario_models
 
@@ -68,12 +68,13 @@ def test_rmse_shape_mismatch():
 
 def test_make_trajectory_deterministic():
     cfg = ScenarioConfig(model="duffing", trials=4, horizon=15, seed=9)
-    a = make_trajectory(cfg, 2)
-    b = make_trajectory(cfg, 2)
+    setup = scenario_models(cfg)
+    a = make_trajectory(cfg, 2, setup)
+    b = make_trajectory(cfg, 2, setup)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.measurements, b.measurements)
     # different trial index => different trajectory
-    c = make_trajectory(cfg, 3)
+    c = make_trajectory(cfg, 3, setup)
     assert np.any(a.states != c.states)
 
 
@@ -81,8 +82,8 @@ def test_trial_seed_offsets_by_index():
     # trial k of a seed-s config replays trial 0 of a seed-(s+k) config
     base = ScenarioConfig(model="fm", trials=4, horizon=10, seed=5)
     shifted = ScenarioConfig(model="fm", trials=4, horizon=10, seed=7)
-    a = make_trajectory(base, 2)
-    b = make_trajectory(shifted, 0)
+    a = make_trajectory(base, 2, scenario_models(base))
+    b = make_trajectory(shifted, 0, scenario_models(shifted))
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.measurements, b.measurements)
 
@@ -90,8 +91,9 @@ def test_trial_seed_offsets_by_index():
 @pytest.mark.parametrize("filter_id", ["ekf", "ukf", "nano"])
 def test_run_trial_deterministic(filter_id):
     cfg = ScenarioConfig(model="duffing", trials=2, horizon=20, seed=1)
-    a = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0))
-    b = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0))
+    setup = scenario_models(cfg)
+    a = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0, setup), setup)
+    b = run_trial(cfg, filter_id, 0, make_trajectory(cfg, 0, setup), setup)
     assert a.trial == b.trial == 0
     assert a.diverged == b.diverged
     assert a.steps == b.steps
@@ -114,13 +116,14 @@ def test_run_filter_completes_horizon():
 def test_diverged_trial_truncates():
     # exact-Hessian update meets indefinite curvature on this trajectory
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    traj = make_trajectory(cfg, 0)
-    res = run_trial(cfg, "nano-nopd", 0, traj)
+    setup = scenario_models(cfg)
+    traj = make_trajectory(cfg, 0, setup)
+    res = run_trial(cfg, "nano-nopd", 0, traj, setup)
     assert res.diverged
     assert res.rmse is None
     assert 0 < res.steps < 40
     # the update that raised is neither listed nor counted as a step
-    run = run_filter(scenario_models(cfg), "nano-nopd", traj, parse_rule(cfg.mm))
+    run = run_filter(setup, "nano-nopd", traj, parse_rule(cfg.mm))
     assert run.failure == (res.steps + 1, "PDFailure")
     assert len(run.diagnostics) == run.steps == res.steps
 
@@ -143,12 +146,12 @@ def test_derived_values_are_not_init_parameters():
             assert (view.n, view.m) == (n, m) == (view.Q.shape[0], view.R.shape[0])
             assert not hasattr(view, "l")
         rng = np.random.default_rng(0)
-        assert (sample_noise(setup.process_noise, rng).shape,
-                sample_noise(setup.measurement_noise, rng).shape) == ((n,), (m,))
+        assert (setup.process_noise.draw(rng)[0].shape,
+                setup.measurement_noise.draw(rng)[0].shape) == ((n,), (m,))
 
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    traj = make_trajectory(cfg, 0)
-    run = run_filter(scenario_models(cfg), "nano-nopd", traj, parse_rule(cfg.mm))
+    setup = scenario_models(cfg)
+    run = run_filter(setup, "nano-nopd", make_trajectory(cfg, 0, setup), parse_rule(cfg.mm))
     assert run.diverged and run.steps == len(run.diagnostics) == run.means.shape[0] > 0
     report = run_monte_carlo(cfg, ("nano-nopd", "ekf"))
     assert report.filter_ids == ("nano-nopd", "ekf")
@@ -159,7 +162,9 @@ def test_derived_values_are_not_init_parameters():
 
 def test_trial_does_not_time_a_failed_update():
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=40, seed=0)
-    res = run_trial(cfg, "nano-nopd", 1, make_trajectory(cfg, 1))  # fails on the very first update
+    setup = scenario_models(cfg)
+    # trial 1 fails on the very first update
+    res = run_trial(cfg, "nano-nopd", 1, make_trajectory(cfg, 1, setup), setup)
     assert res.diverged and res.steps == 0
     assert res.update_ms is None  # no update completed, so none was timed
 
@@ -172,7 +177,7 @@ def test_nan_measurement_diverges_the_trial(monkeypatch):
 
     simulate = bench.make_trajectories
 
-    def with_nan(cfg, setup=None):
+    def with_nan(cfg, setup):
         trajectories = simulate(cfg, setup)
         trajectories[0].measurements[5] = np.nan
         return trajectories
@@ -210,12 +215,13 @@ def test_mean_past_the_limit_diverges_the_trial(monkeypatch, bad):
 
     monkeypatch.setattr(bench, "filter_step", step)
     cfg = ScenarioConfig(model="duffing", trials=1, horizon=10, seed=0)
-    traj = make_trajectory(cfg, 0)
-    res = run_trial(cfg, "ekf", 0, traj)
+    setup = scenario_models(cfg)
+    traj = make_trajectory(cfg, 0, setup)
+    res = run_trial(cfg, "ekf", 0, traj, setup)
     assert seen == [0, 1, 2]
     assert res.diverged and res.rmse is None
     assert res.steps == 3
-    run = run_filter(scenario_models(cfg), "ekf", traj, parse_rule(cfg.mm))
+    run = run_filter(setup, "ekf", traj, parse_rule(cfg.mm))
     assert run.failure == (3, "DIVERGENCE_LIMIT")
     assert run.steps == len(run.diagnostics) == 3
 
@@ -287,7 +293,7 @@ def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
     simulate, run, events = bench.make_trajectories, bench.run_trial, []
     batches = []
 
-    def simulated(cfg, setup=None):
+    def simulated(cfg, setup):
         batches.append(simulate(cfg, setup))
         events.append(("simulate", len(batches[-1])))
         return batches[-1]
@@ -303,9 +309,10 @@ def test_run_monte_carlo_simulates_each_trial_once(monkeypatch):
     rep = run_monte_carlo(cfg, ("ekf", "ukf"))
     assert events == [("simulate", 3)] + [(name, trial) for trial in range(3) for name in ("ekf", "ukf")]
     # The shared trajectories give what a trial simulated on its own gives.
+    setup = scenario_models(cfg)
     for fid in ("ekf", "ukf"):
         for trial, row in enumerate(rep.results[fid]):
-            alone = run_trial(cfg, fid, trial, bench.make_trajectory(cfg, trial))
+            alone = run_trial(cfg, fid, trial, bench.make_trajectory(cfg, trial, setup), setup)
             assert (row.rmse, row.diverged, row.steps) == (alone.rmse, alone.diverged, alone.steps)
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,14 +16,19 @@ from nanofilter.models import (
     laplace_noise,
     linear_model,
     mixture_outlier_noise,
-    sample_noise,
     simulate_trajectory,
 )
+from nanofilter.systems import duffing_model
+
+
+def _noise_vector(spec, rng):
+    z, outlier = spec.draw(rng)
+    return spec.shape(z, np.array(outlier))
 
 
 def _draws(spec, seed, count):
     rng = np.random.default_rng(np.random.PCG64(seed))
-    return np.stack([sample_noise(spec, rng) for _ in range(count)])
+    return np.stack([_noise_vector(spec, rng) for _ in range(count)])
 
 
 def test_linear_model_wiring():
@@ -102,8 +108,8 @@ def test_zero_gaussian_noise_keeps_the_stream():
     # draw, so the stream stays where a nonzero spec would leave it
     zero, nonzero = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(3):
-        assert np.array_equal(sample_noise(gaussian_noise(np.zeros((2, 2))), zero), np.zeros(2))
-        sample_noise(gaussian_noise(np.array([[2.0, 0.5], [0.5, 1.0]])), nonzero)
+        assert np.array_equal(_noise_vector(gaussian_noise(np.zeros((2, 2))), zero), np.zeros(2))
+        _noise_vector(gaussian_noise(np.array([[2.0, 0.5], [0.5, 1.0]])), nonzero)
     assert zero.bit_generator.state == nonzero.bit_generator.state
 
 
@@ -176,7 +182,7 @@ def test_noise_sources_carry_only_their_draw_and_shape():
     lambda cov: mixture_outlier_noise(0.1, cov, cov),
     lambda cov: beta_outlier_noise(0.1, 1.2, 1.5, cov),
     lambda cov: simulate_trajectory(_tiny_model(), gaussian_noise(np.eye(1)), gaussian_noise(np.eye(1)),
-                                    np.zeros(1), cov, 3, np.random.default_rng(0)),
+                                    np.zeros(1), cov, 3, [np.random.default_rng(0)]),
 ], ids=["gaussian", "mixture", "beta", "init-cov"])
 def test_zero_covariance_must_still_be_square(make, cov):
     # an all-zero covariance has a zero root, but only once it is a square matrix
@@ -227,6 +233,18 @@ def test_linear_model_checks_matrix_shapes():
         linear_model(np.eye(2), np.ones((1, 2)), Q=np.eye(2), R=np.eye(2))
 
 
+@pytest.mark.parametrize("B", [np.ones((2, 1, 1)), np.ones((3, 1)), np.ones(2), np.float64(1.0)],
+                         ids=["3-D", "3-rows", "vector", "scalar"])
+def test_linear_model_checks_the_input_matrix(B):
+    # a (2, 1, 1) B used to construct and make kf_step return a (2, 2) "mean";
+    # the others failed only at the first predict
+    with pytest.raises(ValueError, match=r"B must be a 2-D matrix with 2 rows"):
+        linear_model(np.eye(2), np.ones((1, 2)), Q=np.eye(2), R=np.eye(1), B=B)
+    # any number of input columns is fine
+    model = linear_model(np.eye(2), np.ones((1, 2)), Q=np.eye(2), R=np.eye(1), B=np.ones((2, 3)))
+    np.testing.assert_allclose(model.f(np.zeros(2), np.ones(3), 0), [3.0, 3.0])
+
+
 def _tiny_model():
     return linear_model(0.5 * np.eye(1), np.eye(1), Q=np.eye(1), R=np.eye(1))
 
@@ -236,9 +254,10 @@ def test_simulate_shapes_and_determinism():
     proc = gaussian_noise(model.Q)
     meas = gaussian_noise(model.R)
     kw = dict(init_mean=np.zeros(1), init_cov=np.eye(1), steps=30)
-    t1 = simulate_trajectory(model, proc, meas, rng=np.random.default_rng(np.random.PCG64(9)), **kw)
-    t2 = simulate_trajectory(model, proc, meas, rng=np.random.default_rng(np.random.PCG64(9)), **kw)
-    t3 = simulate_trajectory(model, proc, meas, rng=np.random.default_rng(np.random.PCG64(10)), **kw)
+    t1, t2, t3 = (
+        simulate_trajectory(model, proc, meas, rngs=[np.random.default_rng(np.random.PCG64(seed))], **kw)[0]
+        for seed in (9, 9, 10)
+    )
     assert t1.states.shape == (31, 1) and t1.measurements.shape == (30, 1)
     assert t1.inputs is None
     np.testing.assert_array_equal(t1.states, t2.states)
@@ -250,8 +269,8 @@ def test_simulate_zero_steps():
     model = _tiny_model()
     traj = simulate_trajectory(
         model, gaussian_noise(model.Q), gaussian_noise(model.R),
-        np.zeros(1), np.eye(1), 0, np.random.default_rng(0),
-    )
+        np.zeros(1), np.eye(1), 0, [np.random.default_rng(0)],
+    )[0]
     assert traj.states.shape == (1, 1) and traj.measurements.shape == (0, 1)
 
 
@@ -259,8 +278,8 @@ def test_simulate_zero_process_noise_is_deterministic_dynamics():
     model = _tiny_model()
     traj = simulate_trajectory(
         model, gaussian_noise(np.zeros((1, 1))), gaussian_noise(model.R),
-        np.array([8.0]), np.zeros((1, 1)), 3, np.random.default_rng(0),
-    )
+        np.array([8.0]), np.zeros((1, 1)), 3, [np.random.default_rng(0)],
+    )[0]
     np.testing.assert_allclose(traj.states[:, 0], [8.0, 4.0, 2.0, 1.0])
 
 
@@ -271,8 +290,8 @@ def test_simulate_records_inputs():
     model.control = lambda t: np.array([float(t)])
     traj = simulate_trajectory(
         model, gaussian_noise(model.Q), gaussian_noise(model.R),
-        np.zeros(1), np.zeros((1, 1)), 4, np.random.default_rng(0),
-    )
+        np.zeros(1), np.zeros((1, 1)), 4, [np.random.default_rng(0)],
+    )[0]
     np.testing.assert_allclose(traj.inputs[:, 0], [0.0, 1.0, 2.0, 3.0])
     # x_t accumulates the applied controls
     np.testing.assert_allclose(traj.states[:, 0], [0.0, 0.0, 1.0, 3.0, 6.0])
@@ -284,5 +303,54 @@ def test_simulate_rejects_nonfinite_state():
     with pytest.raises(NonFiniteState):
         simulate_trajectory(
             model, gaussian_noise(model.Q), gaussian_noise(model.R),
-            np.ones(1), np.eye(1), 2, np.random.default_rng(0),
+            np.ones(1), np.eye(1), 2, [np.random.default_rng(0)],
         )
+
+
+def _duffing_case(**changes):
+    """Positional simulator arguments on duffing (state order 2, measurement order 1), with ``changes``."""
+    model = duffing_model()
+    args = dict(model=model, process=gaussian_noise(model.Q), measurement=gaussian_noise(model.R),
+                init_mean=np.zeros(2), init_cov=np.eye(2), steps=5, rngs=[np.random.default_rng(0)])
+    args.update(changes)
+    return args.values()
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(process=laplace_noise(np.array([0.1]))),
+     "process noise has shape (1,), but the model's state has order 2, so it must be (2,)"),
+    (dict(process=gaussian_noise(np.eye(3))),
+     "process noise has shape (3,), but the model's state has order 2, so it must be (2,)"),
+    (dict(measurement=gaussian_noise(np.eye(2))),
+     "measurement noise has shape (2,), but the model's measurement has order 1, so it must be (1,)"),
+    (dict(measurement=beta_outlier_noise(1.0, 1.2, 1.5, np.eye(2))),
+     "measurement noise has shape (2,), but the model's measurement has order 1, so it must be (1,)"),
+    (dict(init_mean=np.zeros(1)),
+     "init_mean has shape (1,), but the model's state has order 2, so it must be (2,)"),
+    (dict(init_mean=np.zeros((2, 2))),
+     "init_mean has shape (2, 2), but the model's state has order 2, so it must be (2,)"),
+    (dict(init_cov=np.eye(1)),
+     "init_cov has shape (1, 1), but the model's state has order 2, so it must be (2, 2)"),
+    (dict(init_cov=np.eye(3)),
+     "init_cov has shape (3, 3), but the model's state has order 2, so it must be (2, 2)"),
+], ids=["laplace-process-1", "gaussian-process-3", "gaussian-measurement-2", "beta-measurement-2",
+        "init-mean-1", "init-mean-2x2", "init-cov-1", "init-cov-3"])
+def test_simulator_checks_every_order(change, message):
+    # a one-component source or mean used to be broadcast over the state
+    # without a word; a wider one failed in a bare numpy broadcast or matmul
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_trajectory(*_duffing_case(**change))
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, 3.0, float("nan"), None, "3"])
+def test_simulator_rejects_a_bad_step_count(steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 0"):
+        simulate_trajectory(*_duffing_case(steps=steps))
+
+
+def test_simulator_takes_a_list_of_streams():
+    [traj] = simulate_trajectory(*_duffing_case(steps=np.int64(3)))
+    assert traj.states.shape == (4, 2)
+    # one bare Generator is not a list of streams
+    with pytest.raises(TypeError):
+        simulate_trajectory(*_duffing_case(rngs=np.random.default_rng(0)))

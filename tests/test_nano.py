@@ -178,6 +178,69 @@ def test_expected_derivatives_equal_a_per_point_loop(make_model, rule, exact):
     assert np.array_equal(got_xx, symmetrize(v_xx))
 
 
+def duffing_oracle(mean, cov, y, r_inv, z4):
+    """Closed-form E[grad], Gauss-Newton and exact terms of loglik for duffing's g = x1^3.
+
+    With x1 = a + s z under N(mean, cov), the terms are polynomials in x1 of
+    degree at most 5: E[grad] = 3 r_inv (E[x1^5] - y E[x1^2]) on the first
+    axis, the Gauss-Newton term 9 r_inv E[x1^4] and the exact term
+    r_inv (15 E[x1^4] - 6 y a), both in the (0, 0) entry.  ``z4`` is E[z^4]:
+    3 for Gaussian moments.  Odd moments of z vanish.  Returns the three
+    terms and, for each, the size its rounding error scales with: the same
+    sum with x1 at its farthest point, ``reach``, since no rule tested here
+    puts a point past 3 standard deviations.
+    """
+    a, s2 = mean[0], cov[0, 0]
+    ex2 = a ** 2 + s2
+    ex4 = a ** 4 + 6.0 * a ** 2 * s2 + z4 * s2 ** 2
+    ex5 = a ** 5 + 10.0 * a ** 3 * s2 + 5.0 * z4 * a * s2 ** 2
+    grad, gn, exact = np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2))
+    grad[0] = 3.0 * r_inv * (ex5 - y * ex2)
+    gn[0, 0] = 9.0 * r_inv * ex4
+    exact[0, 0] = r_inv * (15.0 * ex4 - 6.0 * y * a)
+    reach = abs(a) + 3.0 * np.sqrt(s2)
+    sizes = (3.0 * r_inv * (reach ** 5 + abs(y) * reach ** 2), 9.0 * r_inv * reach ** 4,
+             r_inv * (15.0 * reach ** 4 + 6.0 * abs(y) * reach))
+    return (grad, gn, exact), sizes
+
+
+# E[z^4] of each rule's points along one axis of duffing's 2-D state: every
+# rule but cubature is exact to degree 5; cubature's points sit at +-sqrt(n) e_i,
+# so its E[z^4] is n = 2 where a Gaussian's is 3.
+ORACLE_Z4 = {"gh:3": 3.0, "gh:5": 3.0, "unscented": 3.0, "cubature": 2.0}
+
+
+@st.composite
+def _duffing_beliefs(draw):
+    """A mean in [-2, 2]^2, an SPD covariance M M^T + d I, and a measurement."""
+    coord = st.floats(-2.0, 2.0)
+    mean = np.array([draw(coord), draw(coord)])
+    root = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(2)] for _ in range(2)])
+    cov = root @ root.T + draw(st.floats(1e-3, 1.0)) * np.eye(2)
+    return mean, cov, draw(st.floats(-10.0, 10.0))
+
+
+@pytest.mark.parametrize("rule", sorted(ORACLE_Z4))
+@settings(derandomize=True, deadline=None)
+@given(belief=_duffing_beliefs())
+def test_expected_derivatives_match_duffings_closed_form(rule, belief):
+    # the gradient, Gauss-Newton and exact modes against the same moments;
+    # cubature's gap to the Gaussian moments is its fourth moment alone
+    model = duffing_model()
+    mean, cov, y = belief
+    cset = generate_points(parse_rule(rule), mean, cov)
+    v_x, v_gn = _expected_derivatives(cset, np.array([y]), model, exact=False)
+    _, v_exact = _expected_derivatives(cset, np.array([y]), model, exact=True)
+    r_inv = model.R_inv[0, 0]
+    want, sizes = duffing_oracle(mean, cov, y, r_inv, ORACLE_Z4[rule])
+    for got, term, size in zip((v_x, v_gn, v_exact), want, sizes):
+        np.testing.assert_allclose(got, term, rtol=0.0, atol=1e-13 * size)
+    if rule == "cubature":
+        (_, gaussian_gn, _), _ = duffing_oracle(mean, cov, y, r_inv, 3.0)
+        gap = 9.0 * r_inv * cov[0, 0] ** 2
+        assert gaussian_gn[0, 0] - v_gn[0, 0] == pytest.approx(gap, rel=1e-6)
+
+
 def test_sigma_root_falls_back_to_the_inverse_factor():
     # a covariance iterate that no longer factors takes its root from the
     # factor of the inverse covariance: root root^T = (L L^T)^{-1}
@@ -508,10 +571,9 @@ def _warmed_updates(model_id, seed, horizon, skip):
     """Per-step (prior, measurement) pairs from a warmed-up tracking run."""
     cfg = ScenarioConfig(model=model_id, horizon=horizon, seed=seed)
     setup = scenario_models(cfg)
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    traj = simulate_trajectory(
+    [traj] = simulate_trajectory(
         setup.truth, setup.process_noise, setup.measurement_noise,
-        setup.init_mean, setup.init_cov, horizon, rng,
+        setup.init_mean, setup.init_cov, horizon, [np.random.default_rng(np.random.PCG64(seed))],
     )
     belief = GaussianBelief(setup.init_mean, setup.init_cov)
     out = []

@@ -4,18 +4,20 @@
 ``(T, n)`` stack, ``g`` on every state at once, the noise roots on stacks of
 variates.  ``ref_simulate`` below keeps the earlier form, one trajectory at a
 time with one noise vector per draw, and every trajectory must match it bit
-for bit, for one Generator (T = 1) and for several.  The reference draws its
+for bit, for one stream (T = 1) and for several.  The reference draws its
 noise from plain records of each factory's settings, with its own roots, so
 it shares no noise code with the package.
 """
 
+import ast
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nanofilter import bench
+from nanofilter import bench, models
 from nanofilter.errors import NonFiniteState
 from nanofilter.linalg import cholesky_factor
 from nanofilter.models import (
@@ -178,9 +180,9 @@ def test_batched_trajectories_match_the_per_trial_loop(name, process_kind, measu
     steps, seeds = 15, (3, 4, 5, 6)
     refs = [ref_simulate(*ref_args, steps, np.random.default_rng(seed)) for seed in seeds]
 
-    single = simulate_trajectory(*args, steps, np.random.default_rng(seeds[0]))
-    assert isinstance(single, Trajectory)
-    _assert_same(single, refs[0])
+    single = simulate_trajectory(*args, steps, [np.random.default_rng(seeds[0])])
+    assert isinstance(single, list) and len(single) == 1
+    _assert_same(single[0], refs[0])
 
     batch = simulate_trajectory(*args, steps, [np.random.default_rng(seed) for seed in seeds])
     assert isinstance(batch, list) and len(batch) == len(seeds)
@@ -272,3 +274,59 @@ def test_nonfinite_state_names_the_lowest_failing_stream(seeds, overtaken):
     # Whether the batch had to advance past a later stream's failure to find it.
     later = [step for step in bad[stream + 1:] if step is not None]
     assert (min(later, default=np.inf) < bad[stream]) == overtaken
+
+
+# ---------------------------------------------------------------------------
+# One way in: a list of streams, and one place that builds the scenario
+
+
+def _callers(path, name):
+    """Names of the innermost functions in ``path`` that call ``name`` (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        callee = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and name in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(Path(path).read_text()), None)
+    return found
+
+
+def _generator_tests(path):
+    """Line numbers in ``path`` of ``isinstance`` calls against ``Generator``."""
+    return [node.lineno for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and any(isinstance(n, ast.Attribute) and n.attr == "Generator"
+                    or isinstance(n, ast.Name) and n.id == "Generator"
+                    for arg in node.args[1:] for n in ast.walk(arg))]
+
+
+def test_only_run_monte_carlo_builds_a_scenario():
+    # every other bench function takes the setup it is handed
+    assert _callers(bench.__file__, "scenario_models") == ["run_monte_carlo"]
+
+
+def test_the_simulator_has_one_form():
+    tree = ast.parse(Path(models.__file__).read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "sample_noise" not in defined
+    assert _generator_tests(models.__file__) == []
+
+
+def test_guards_see_each_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy.random import Generator\n"
+                     "def a(cfg):\n"
+                     "    return scenarios.scenario_models(cfg)\n"
+                     "def b(cfg, rng):\n"
+                     "    single = isinstance(rng, np.random.Generator)\n"
+                     "    return scenario_models(cfg) if isinstance(rng, (list, Generator)) else None\n"
+                     "setup = scenario_models(None)\n")
+    assert _callers(probe, "scenario_models") == ["a", "b", None]
+    assert _generator_tests(probe) == [6, 7]
